@@ -407,8 +407,8 @@ def cmd_trace(args) -> int:
         dump_transactions_jsonl,
     )
     from .coding.pipeline import precompute_line_zeros
-    from .coding.registry import real_schemes
     from .core.framework import make_policy_factory
+    from .core.policies import sent_schemes
     from .system.simulator import simulate
     from .workloads.benchmarks import build_trace
 
@@ -416,7 +416,8 @@ def cmd_trace(args) -> int:
     trace = build_trace(args.benchmark.upper(), config,
                         accesses_per_core=args.scale)
     zeros = precompute_line_zeros(
-        trace.line_data, real_schemes(), digest=trace.line_digest
+        trace.line_data, sent_schemes(args.policy),
+        digest=trace.line_digest,
     )
     result = simulate(trace, config,
                       make_policy_factory(args.policy, zeros))

@@ -38,17 +38,12 @@ __all__ = [
 # benchmark suite can tell which code path its numbers describe.
 HAVE_NATIVE_POPCOUNT = hasattr(np, "bitwise_count")
 
-# int.bit_count() arrived in Python 3.10; the lambda keeps 3.9 working.
-_int_bit_count = getattr(int, "bit_count", None) or (
-    lambda v: bin(v).count("1")
-)
-
 
 def int_popcount(value: int) -> int:
-    """Popcount of a non-negative Python int (``int.bit_count`` when available)."""
+    """Popcount of a non-negative Python int (``int.bit_count``)."""
     if value < 0:
         raise ValueError("popcount of a negative int is undefined")
-    return _int_bit_count(value)
+    return value.bit_count()
 
 
 def bytes_to_bits(data: np.ndarray) -> np.ndarray:
@@ -114,7 +109,7 @@ def bits_to_ints(bits: np.ndarray) -> np.ndarray:
 
 
 _BYTE_POPCOUNT = np.array(
-    [_int_bit_count(v) for v in range(256)], dtype=np.uint8
+    [v.bit_count() for v in range(256)], dtype=np.uint8
 )
 
 

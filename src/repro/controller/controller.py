@@ -40,6 +40,9 @@ __all__ = ["AlwaysScheme", "ChannelController", "NO_EVENT_CACHE_ENV"]
 # the two modes to byte-identical, auditor-clean command logs.
 NO_EVENT_CACHE_ENV = "REPRO_NO_EVENT_CACHE"
 
+# Larger than any simulated cycle: the running minimum's start value.
+_NEVER = 1 << 62
+
 
 def _event_cache_enabled() -> bool:
     return os.environ.get(NO_EVENT_CACHE_ENV, "") not in ("1", "true", "yes")
@@ -112,27 +115,25 @@ class ChannelController:
         self.scheme_counts: dict[str, int] = {}
         self.forwarded_reads = 0
         self.coalesced_writes = 0
+        # True when any transaction is queued (the Figure 5 predicate).
+        # Kept current by enqueue and step, the only queue mutators, so
+        # the per-event paths read an attribute instead of two lengths.
+        self.has_pending = False
 
-        # Candidate cache: the FR-FCFS candidate list only changes when
-        # device or queue state does, so it is memoised against a state
-        # version counter (the dominant cost of the scheduling loop).
-        # On top of the whole-list memo, candidates are derived
-        # *incrementally*: each bank contributes exactly one candidate
-        # (oldest row hit, else ACT for the bucket head, else PRE), and
-        # that per-bank derivation is memoised against the queue's
-        # bucket version and the bank's open row, so an enqueue or
-        # issue only re-derives the banks it touched.
-        # REPRO_NO_EVENT_CACHE=1 recomputes everything every call via
-        # the full-scan FRFCFSScheduler.candidates oracle, for A/B-ing
-        # the caches against the protocol auditor.
+        # Scheduling memos.  Candidates are derived *incrementally*:
+        # each bank contributes exactly one candidate (oldest row hit,
+        # else ACT for the bucket head, else PRE).  For an open bank
+        # the row-hit search is memoised against the queue's bucket
+        # version and the bank's open row, so an enqueue or issue only
+        # re-derives the banks it touched.  REPRO_NO_EVENT_CACHE=1
+        # recomputes everything every call via the full-scan
+        # FRFCFSScheduler.candidates oracle, for A/B-ing the memos
+        # against the protocol auditor.
         self._cache_enabled = _event_cache_enabled()
         self._state_version = 0
-        self._cand_version = -1
-        self._cand_cache: list = []
-        # Per-bank candidate memos, one per queue direction, keyed by
-        # the bucket key (rank, group, bank) ->
-        # (bucket_version, open_row, kind, request) where kind is
-        # 0=column hit, 1=ACTIVATE, 2=PRECHARGE.
+        # Per-bank row-hit memos, one per queue direction, keyed by the
+        # bucket key (rank, group, bank) ->
+        # (bucket_version, open_row, oldest hit or None for PRECHARGE).
         self._bank_memo_rd: dict = {}
         self._bank_memo_wr: dict = {}
         self.cand_bank_hits = 0
@@ -186,11 +187,6 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Front end
     # ------------------------------------------------------------------
-    @property
-    def has_pending(self) -> bool:
-        """True when any transaction is queued (the Figure 5 predicate)."""
-        return len(self.read_queue) > 0 or len(self.write_queue) > 0
-
     def can_accept(self, is_write: bool) -> bool:
         """Back-pressure check used by the LLC/core model."""
         queue = self.write_queue if is_write else self.read_queue
@@ -213,6 +209,7 @@ class ChannelController:
             took_slot = self.write_queue.push(request, coalesce=True)
             if not took_slot:
                 self.coalesced_writes += 1
+            self.has_pending = True
             return
         hit = self.write_queue.find(request.address)
         if hit is not None:
@@ -223,6 +220,7 @@ class ChannelController:
             self.completed.append(request)
             return
         self.read_queue.push(request)
+        self.has_pending = True
 
     def drain_completions(self) -> list[MemoryRequest]:
         """Hand completed requests to the caller and clear the list."""
@@ -254,43 +252,33 @@ class ChannelController:
         """
         count = 0
         horizon = now + window
-        open_row_of = self.channel.open_row
-        earliest_issue = self.channel.earliest_issue
-        queues = (
-            (self.read_queue, self.write_queue)
-            if self.draining_now
-            else (self.read_queue,)
-        )
-        for queue in queues:
-            cmd = (
-                CommandType.WRITE
-                if queue is self.write_queue
-                else CommandType.READ
-            )
-            for key, bucket in queue.bank_buckets().items():
-                rank, group, bank = key
-                open_row = open_row_of(rank, group, bank)
+        ch = self.channel
+        banks = ch.banks
+        scans = [(self.read_queue, False, ch.fold_rd, ch.bus_rd)]
+        if self.draining_now and not reads_only:
+            scans.append((self.write_queue, True, ch.fold_wr, ch.bus_wr))
+        for queue, is_write, fold, bus in scans:
+            for (rank, group, bank), bucket in queue.bank_buckets().items():
+                bstate = banks[rank][group][bank]
+                open_row = bstate.open_row
                 if open_row is None:
                     continue
-                # All hits in one bank share the same command timing,
-                # so the bank is probed once, lazily on the first hit.
-                ready = None
+                # All hits in one bank share the same command timing:
+                # ready when the bank register, the folded register and
+                # the bus bound all fall within the window.
+                earliest = bstate.next_wr if is_write else bstate.next_rd
+                if (
+                    earliest > horizon
+                    or fold[rank][group] > horizon
+                    or bus[rank] > horizon
+                ):
+                    continue
                 for req in bucket:
-                    if req.mapped.row != open_row:
-                        continue
-                    if req is exclude:
+                    if req.mapped.row != open_row or req is exclude:
                         continue
                     if req.is_prefetch and not include_prefetches:
                         continue
-                    if reads_only and req.is_write:
-                        continue
-                    if ready is None:
-                        ready = (
-                            earliest_issue(cmd, rank, group, bank, now)
-                            <= horizon
-                        )
-                    if ready:
-                        count += 1
+                    count += 1
         return count
 
     def _row_has_more_hits(self, request: MemoryRequest) -> bool:
@@ -322,9 +310,11 @@ class ChannelController:
     # Scheduling engine
     # ------------------------------------------------------------------
     def _urgent_refresh_action(self, now: int):
-        """(cmd, rank, group, bank, earliest) for overdue refresh, or None."""
-        if self.refresh is None or not self.refresh.any_urgent():
-            return None
+        """(cmd, rank, group, bank, earliest) for overdue refresh.
+
+        Callers check ``refresh.overdue`` first; some rank is then
+        urgent, so an action is always found.
+        """
         for rank in range(self.geometry.ranks):
             if not self.refresh.urgent(rank):
                 continue
@@ -341,7 +331,6 @@ class ChannelController:
                 CommandType.REFRESH, rank, 0, 0, now
             )
             return (CommandType.REFRESH, rank, 0, 0, earliest)
-        return None
 
     def _idle_refresh_action(self, now: int):
         """Opportunistic refresh when no transactions are pending."""
@@ -385,16 +374,13 @@ class ChannelController:
         queue = self.write_queue if self.draining_now else self.read_queue
         return queue.oldest_first()
 
-    def _derive_bank_candidate(self, bucket: list, open_row):
-        """(kind, request) for one bank's queued requests.
+    def _derive_bank_candidate(self, bucket: list, open_row: int):
+        """Oldest queued request hitting ``open_row``, or None.
 
-        kind 0: column command for the oldest request hitting the open
-        row (oldest by the FR-FCFS (arrival, serial) key).  kind 1:
-        ACTIVATE on behalf of the bucket head (bank closed).  kind 2:
-        PRECHARGE — the open row is wanted by nobody in the bucket.
+        Oldest by the FR-FCFS (arrival, serial) key.  None means the
+        open row is wanted by nobody in the bucket: the bank's
+        candidate is a PRECHARGE.
         """
-        if open_row is None:
-            return 1, bucket[0]
         best = None
         for req in bucket:
             if req.mapped.row == open_row and (
@@ -402,77 +388,11 @@ class ChannelController:
                 or (req.arrival, req.serial) < (best.arrival, best.serial)
             ):
                 best = req
-        if best is not None:
-            return 0, best
-        return 2, None
-
-    def _assemble_candidates(self, now: int) -> list:
-        """Incremental equivalent of ``FRFCFSScheduler.candidates``.
-
-        Each bank contributes exactly one candidate; per-bank (kind,
-        request) derivations are memoised against the queue bucket
-        version and the bank's open row, so only banks touched since
-        the last assembly are re-derived.  Assembly order reproduces
-        the full scan: hit/ACT candidates by bucket-head queue
-        position, all PREs after them in the same order — the only
-        orderings ``pick``'s ready[0] tie-break can observe.
-        """
-        queue = self.write_queue if self.draining_now else self.read_queue
-        buckets = queue.bank_buckets()
-        if not buckets:
-            return []
-        channel = self.channel
-        open_row_of = channel.open_row
-        earliest_issue = channel.earliest_issue
-        is_write_q = queue is self.write_queue
-        memo = self._bank_memo_wr if is_write_q else self._bank_memo_rd
-        versions = queue.bank_versions()
-        read_cmd, write_cmd = CommandType.READ, CommandType.WRITE
-        act_cmd, pre_cmd = CommandType.ACTIVATE, CommandType.PRECHARGE
-        main: list = []
-        pres: list = []
-        for key in sorted(buckets, key=lambda k: buckets[k][0].queue_seq):
-            bucket = buckets[key]
-            rank, group, bank = key
-            open_row = open_row_of(rank, group, bank)
-            ver = versions[key]
-            cached = memo.get(key)
-            if cached is not None and cached[0] == ver and cached[1] == open_row:
-                kind, req = cached[2], cached[3]
-                self.cand_bank_hits += 1
-            else:
-                kind, req = self._derive_bank_candidate(bucket, open_row)
-                memo[key] = (ver, open_row, kind, req)
-                self.cand_bank_misses += 1
-            if kind == 0:
-                cmd = write_cmd if req.is_write else read_cmd
-                main.append(CandidateCommand(
-                    cmd, rank, group, bank, open_row,
-                    earliest_issue(cmd, rank, group, bank, now, 4), req,
-                ))
-            elif kind == 1:
-                main.append(CandidateCommand(
-                    act_cmd, rank, group, bank, req.mapped.row,
-                    earliest_issue(act_cmd, rank, group, bank, now), req,
-                ))
-            else:
-                pres.append(CandidateCommand(
-                    pre_cmd, rank, group, bank, open_row,
-                    earliest_issue(pre_cmd, rank, group, bank, now), None,
-                ))
-        if pres:
-            main.extend(pres)
-        return main
+        return best
 
     def _candidates(self, now: int) -> list:
-        """Memoised FR-FCFS candidate list (see ``_state_version``)."""
-        if not self._cache_enabled:
-            return self.scheduler.candidates(self._active_entries(now), now)
-        if self._cand_version != self._state_version:
-            self._sync_drain(now)
-            self._cand_cache = self._assemble_candidates(now)
-            self._cand_version = self._state_version
-        return self._cand_cache
+        """Full-scan FR-FCFS candidate list (the kill-switch oracle)."""
+        return self.scheduler.candidates(self._active_entries(now), now)
 
     def _schedule_query(self, now: int):
         """Fused ``(pick, wake)`` for cycle ``now`` in one bucket pass.
@@ -482,9 +402,12 @@ class ChannelController:
         list: the pass tracks the oldest ready column (FR-FCFS
         (arrival, serial) order), the first-generated ready ACTIVATE,
         the first-generated ready PRECHARGE, and the minimum earliest
-        over all per-bank candidates.  Memoised per (state version,
-        cycle) so ``step`` and ``next_event`` at the same cycle share
-        one pass.
+        over all per-bank candidates.  Each candidate's earliest cycle
+        is max(bank register, the channel's folded rank/group register,
+        the channel's bus bound) — the same answer as
+        ``DRAMChannel.earliest_issue``, read off the registers the
+        channel keeps.  Memoised per (state version, cycle) so ``step``
+        and ``next_event`` at the same cycle share one pass.
         """
         if (
             self._sched_version == self._state_version
@@ -492,78 +415,86 @@ class ChannelController:
         ):
             return self._sched_pick, self._sched_wake
         self._sync_drain(now)
-        queue = self.write_queue if self.draining_now else self.read_queue
+        is_write_q = self.draining_now
+        queue = self.write_queue if is_write_q else self.read_queue
         buckets = queue.bank_buckets()
         pick = None
         wake: int | None = None
         if buckets:
-            banks = self.channel.banks
-            earliest_issue = self.channel.earliest_issue
+            ch = self.channel
+            banks = ch.banks
+            fold_act = ch.fold_act
+            if is_write_q:
+                col_cmd, col_fold, col_bus = (
+                    CommandType.WRITE, ch.fold_wr, ch.bus_wr
+                )
+                memo = self._bank_memo_wr
+            else:
+                col_cmd, col_fold, col_bus = (
+                    CommandType.READ, ch.fold_rd, ch.bus_rd
+                )
+                memo = self._bank_memo_rd
             versions = queue.bank_versions()
-            is_write_q = queue is self.write_queue
-            memo = self._bank_memo_wr if is_write_q else self._bank_memo_rd
             derive = self._derive_bank_candidate
-            read_cmd, write_cmd = CommandType.READ, CommandType.WRITE
-            act_cmd = CommandType.ACTIVATE
             best_col = best_col_key = None
             best_act = best_act_seq = None
             best_pre = best_pre_seq = None
             hits = misses = 0
+            wake = _NEVER
+            # Unrolled max() below: this loop runs per bank per pass.
             for key, bucket in buckets.items():
                 rank, group, bank = key
                 bstate = banks[rank][group][bank]
                 open_row = bstate.open_row
-                ver = versions[key]
+                if open_row is None:
+                    # ACTIVATE on behalf of the bucket head.
+                    earliest = bstate.next_act
+                    bound = fold_act[rank][group]
+                    if bound > earliest:
+                        earliest = bound
+                    if earliest <= now and best_col is None:
+                        head = bucket[0]
+                        seq = head.queue_seq
+                        if best_act is None or seq < best_act_seq:
+                            best_act = (
+                                CommandType.ACTIVATE, rank, group, bank,
+                                head.mapped.row, head,
+                            )
+                            best_act_seq = seq
+                    if earliest < wake:
+                        wake = earliest
+                    continue
                 cached = memo.get(key)
                 if (
                     cached is not None
-                    and cached[0] == ver
+                    and cached[0] == versions[key]
                     and cached[1] == open_row
                 ):
-                    kind = cached[2]
-                    req = cached[3]
+                    req = cached[2]
                     hits += 1
                 else:
-                    kind, req = derive(bucket, open_row)
-                    memo[key] = (ver, open_row, kind, req)
+                    req = derive(bucket, open_row)
+                    memo[key] = (versions[key], open_row, req)
                     misses += 1
-                # The bank-scope "earliest next" register is an exact
-                # lower bound on the full earliest_issue answer (which
-                # only adds rank/bus constraints).  A bank whose bound
-                # is both past ``now`` (cannot be picked) and at or past
-                # the running ``wake`` minimum (cannot lower it) is
-                # skipped without the expensive full query.
-                if kind == 0:
-                    bound = bstate.next_wr if is_write_q else bstate.next_rd
-                    if bound > now and wake is not None and bound >= wake:
-                        continue
-                    cmd = write_cmd if is_write_q else read_cmd
-                    earliest = earliest_issue(cmd, rank, group, bank, now, 4)
+                if req is not None:
+                    # Column command for the oldest row hit.
+                    earliest = bstate.next_wr if is_write_q else bstate.next_rd
+                    bound = col_fold[rank][group]
+                    if bound > earliest:
+                        earliest = bound
+                    bound = col_bus[rank]
+                    if bound > earliest:
+                        earliest = bound
                     if earliest <= now:
                         col_key = (req.arrival, req.serial)
                         if best_col is None or col_key < best_col_key:
-                            best_col = (cmd, rank, group, bank, open_row, req)
-                            best_col_key = col_key
-                elif kind == 1:
-                    bound = bstate.next_act
-                    if bound > now and wake is not None and bound >= wake:
-                        continue
-                    earliest = earliest_issue(act_cmd, rank, group, bank, now)
-                    if earliest <= now and best_col is None:
-                        seq = bucket[0].queue_seq
-                        if best_act is None or seq < best_act_seq:
-                            best_act = (
-                                act_cmd, rank, group, bank,
-                                req.mapped.row, req,
+                            best_col = (
+                                col_cmd, rank, group, bank, open_row, req,
                             )
-                            best_act_seq = seq
+                            best_col_key = col_key
                 else:
-                    # PRECHARGE's only constraint IS the bank register,
-                    # so the bound is the exact answer (see
-                    # DRAMChannel.earliest_issue).
+                    # PRECHARGE; its only constraint is the bank register.
                     earliest = bstate.next_pre
-                    if earliest < now:
-                        earliest = now
                     if (
                         earliest <= now
                         and best_col is None
@@ -576,8 +507,12 @@ class ChannelController:
                                 open_row, None,
                             )
                             best_pre_seq = seq
-                if wake is None or earliest < wake:
+                if earliest < wake:
                     wake = earliest
+            # Every candidate's earliest is floored at ``now``; flooring
+            # the minimum once is the same thing.
+            if wake < now:
+                wake = now
             self.cand_bank_hits += hits
             self.cand_bank_misses += misses
             won = best_col if best_col is not None else (
@@ -616,9 +551,8 @@ class ChannelController:
             return False  # provably nothing to do yet
         self.sync(now)
 
-        action = self._urgent_refresh_action(now)
-        if action is not None:
-            cmd, rank, group, bank, earliest = action
+        if self.refresh is not None and self.refresh.overdue:
+            cmd, rank, group, bank, earliest = self._urgent_refresh_action(now)
             if earliest > now:
                 return False
             self.channel.issue(cmd, rank, group, bank, now)
@@ -664,6 +598,9 @@ class ChannelController:
             req.scheme = scheme
             queue = self.write_queue if req.is_write else self.read_queue
             queue.remove(req)
+            self.has_pending = (
+                len(self.read_queue) > 0 or len(self.write_queue) > 0
+            )
             self.completed.append(req)
             self.scheme_counts[scheme] = self.scheme_counts.get(scheme, 0) + 1
         else:
@@ -697,11 +634,15 @@ class ChannelController:
             return max(floor, self._wake_time)
 
         times: list[int] = []
-        if self.refresh is not None:
-            times.append(self.refresh.next_event())
-            action = self._urgent_refresh_action(now)
-            if action is None and not self.has_pending:
+        refresh = self.refresh
+        if refresh is not None:
+            times.append(refresh.next_event())
+            if refresh.overdue:
+                action = self._urgent_refresh_action(now)
+            elif not self.has_pending:
                 action = self._idle_refresh_action(now)
+            else:
+                action = None
             if action is not None:
                 times.append(action[4])
         if self.has_pending:

@@ -17,9 +17,13 @@ def _serial() -> int:
     return _next_serial
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class MemoryRequest:
     """One cache-line transfer between the LLC and DRAM.
+
+    Requests compare (and hash) by identity: two transfers of the same
+    line are still two requests, and queue removal must find *this*
+    one without a field-by-field comparison.
 
     Attributes
     ----------

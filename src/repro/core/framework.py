@@ -24,7 +24,6 @@ from ..analysis.metrics import (
     slack_histogram,
 )
 from ..coding.pipeline import precompute_line_zeros, raw_line_zeros
-from ..coding.registry import real_schemes
 from ..energy.constants import (
     DDR4_ENERGY,
     LPDDR3_ENERGY,
@@ -37,7 +36,13 @@ from ..system.machine import NIAGARA_SERVER, SNAPDRAGON_MOBILE, SystemConfig
 from ..system.simulator import simulate
 from ..workloads.benchmarks import DEFAULT_ACCESSES_PER_CORE, build_trace
 from .decision import MiLPolicy
-from .policies import get_policy, make_factory, policy_names, policy_table
+from .policies import (
+    get_policy,
+    make_factory,
+    policy_names,
+    policy_table,
+    sent_schemes,
+)
 
 __all__ = ["POLICIES", "RunSummary", "run", "run_spec",
            "make_policy_factory", "energy_params_for",
@@ -177,8 +182,11 @@ def run(
     trace = build_trace(
         benchmark, config, seed=seed, accesses_per_core=accesses_per_core
     )
+    # Only the tables this run can consult: a mil run never sends a
+    # CAFO burst, and CAFO's tables are the costliest to build.
     zeros_by_scheme = precompute_line_zeros(
-        trace.line_data, real_schemes(), digest=trace.line_digest
+        trace.line_data, sent_schemes(policy, mil_overrides),
+        digest=trace.line_digest,
     )
     factory = make_policy_factory(
         policy, zeros_by_scheme, lookahead, mil_overrides

@@ -44,6 +44,7 @@ __all__ = [
     "policy_names",
     "policy_table",
     "register_policy",
+    "sent_schemes",
     "unregister_policy",
 ]
 
@@ -184,6 +185,35 @@ def make_factory(
         mil_overrides=mil_overrides,
     )
     return info.builder(ctx)
+
+
+def sent_schemes(
+    policy: str, mil_overrides: dict | None = None
+) -> tuple[str, ...]:
+    """Schemes with a zero-count path that a run of ``policy`` can send.
+
+    The policy's registered ``schemes``, plus any scheme its
+    ``mil_overrides`` select: the base or long code, and the fallback
+    code once ``short_lookahead`` is set (or the fallback is named, for
+    policies whose own configuration sets the look-ahead).  These are
+    the zero tables the run's energy model and write optimization can
+    consult, so they are the only ones worth computing.
+    """
+    schemes = list(get_policy(policy).schemes)
+    overrides = mil_overrides or {}
+    for name in ("base_scheme", "long_scheme"):
+        if name in overrides:
+            schemes.append(overrides[name])
+    if (
+        overrides.get("short_lookahead") is not None
+        or "fallback_scheme" in overrides
+    ):
+        schemes.append(
+            overrides.get("fallback_scheme", MiLConfig.fallback_scheme)
+        )
+    return tuple(
+        s for s in dict.fromkeys(schemes) if scheme_info(s).has_codec
+    )
 
 
 def policy_table() -> str:

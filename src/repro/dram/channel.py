@@ -9,6 +9,15 @@ two questions:
   the saturating down-counters (modelled as "earliest next cycle"
   registers, the software dual of Figure 11's counters).
 
+Besides the raw per-scope registers, the channel keeps *folded* bounds
+that the scheduler reads directly: per (rank, bank group) and command
+(``fold_act``/``fold_rd``/``fold_wr``), the maximum of every rank- and
+group-scope register gating that command, and per rank (``bus_rd``/
+``bus_wr``) the issue cycle the shared data bus allows.  ``issue``
+refreshes them whenever a register they fold changes, so any ACTIVATE,
+READ or WRITE is legal from ``max(now, bank register, folded register
+[, bus bound])`` — the timing rules stay defined here, once.
+
 Constraint scopes follow the DDR4 structure the paper leans on
 (Section 3.1): per-bank (tRCD/tRAS/tRC/tRTP/tWR/tRP), per-bank-group
 (tCCD_L/tRRD_L/tWTR_L), per-rank (tCCD_S/tRRD_S/tWTR_S/tFAW/tRFC), and
@@ -173,11 +182,22 @@ class DRAMChannel:
             for _ in range(geometry.ranks)
         ]
 
+        # Folded rank/group bounds, indexed [rank][group] (see the
+        # module docstring); refreshed by ``issue``.
+        groups = geometry.bank_groups
+        self.fold_act = [[0] * groups for _ in range(geometry.ranks)]
+        self.fold_rd = [[0] * groups for _ in range(geometry.ranks)]
+        self.fold_wr = [[0] * groups for _ in range(geometry.ranks)]
+
         # Data bus state.
         self.bus_free_at = 0
         self.last_bus_rank: int | None = None
         self.last_bus_was_write: bool | None = None
         self.busy_cycles = 0
+        # Per-rank issue bounds the data bus imposes on a READ / WRITE.
+        self.bus_rd = [0] * geometry.ranks
+        self.bus_wr = [0] * geometry.ranks
+        self._update_bus_bounds()
 
         # Event counters for the energy model.
         self.activate_count = 0
@@ -247,6 +267,20 @@ class DRAMChannel:
     def _data_latency(self, is_write: bool) -> int:
         return self.timing.WL if is_write else self.timing.CL
 
+    def _update_bus_bounds(self) -> None:
+        """Re-derive ``bus_rd``/``bus_wr`` from the data-bus state.
+
+        Data-bus availability converts to an issue-time bound: the
+        burst may start once the bus is free plus any turnaround
+        bubble, and it starts one data latency after the command.
+        """
+        free = self.bus_free_at
+        rd_latency = self._data_latency(False)
+        wr_latency = self._data_latency(True)
+        for rank in range(self.geometry.ranks):
+            self.bus_rd[rank] = free + self._bus_gap(rank, False) - rd_latency
+            self.bus_wr[rank] = free + self._bus_gap(rank, True) - wr_latency
+
     # ------------------------------------------------------------------
     # Earliest legal issue time
     # ------------------------------------------------------------------
@@ -265,32 +299,25 @@ class DRAMChannel:
         ``bus_cycles`` is the data-bus occupancy (4 for BL8, 5 for BL10,
         8 for BL16).
         """
-        t = self.timing
         b = self.banks[rank][group][bank]
-        r = self.ranks[rank]
 
         if cmd is CommandType.ACTIVATE:
-            earliest = max(now, b.next_act, r.next_act, r.group_next_act[group])
-            if len(r.act_history) >= 4:
-                earliest = max(earliest, r.act_history[-4] + t.FAW)
-            return earliest
+            return max(now, b.next_act, self.fold_act[rank][group])
 
         if cmd is CommandType.PRECHARGE:
             return max(now, b.next_pre)
 
-        if cmd in (CommandType.READ, CommandType.WRITE):
-            is_write = cmd is CommandType.WRITE
-            if is_write:
-                earliest = max(now, b.next_wr, r.next_wr, r.group_next_wr[group])
-            else:
-                earliest = max(now, b.next_rd, r.next_rd, r.group_next_rd[group])
-            # Data-bus availability converts to an issue-time bound.
-            latency = self._data_latency(is_write)
-            gap = self._bus_gap(rank, is_write)
-            earliest = max(earliest, self.bus_free_at + gap - latency)
-            return earliest
+        if cmd is CommandType.READ:
+            return max(now, b.next_rd, self.fold_rd[rank][group],
+                       self.bus_rd[rank])
+
+        if cmd is CommandType.WRITE:
+            return max(now, b.next_wr, self.fold_wr[rank][group],
+                       self.bus_wr[rank])
 
         if cmd is CommandType.REFRESH:
+            t = self.timing
+            r = self.ranks[rank]
             # All banks in the rank must be precharged and past tRP.  An
             # open row does not make the query invalid — this is a pure
             # query, and the controller's refresh path probes it
@@ -382,12 +409,20 @@ class DRAMChannel:
             b.next_wr = max(b.next_wr, cycle + t.RCD)
             b.next_pre = max(b.next_pre, cycle + t.RAS)
             b.next_act = max(b.next_act, cycle + t.RC)
+            history = r.act_history
+            history.append(cycle)
+            if len(history) > 8:
+                del history[:-8]
+            # tFAW: a fifth ACTIVATE waits for the fourth-last one.
+            rank_bound = r.next_act
+            if len(history) >= 4:
+                rank_bound = max(rank_bound, history[-4] + t.FAW)
+            group_next_act = r.group_next_act
+            fold = self.fold_act[rank]
             for g in range(self.geometry.bank_groups):
                 bound = t.RRD_L if g == group else t.RRD_S
-                r.group_next_act[g] = max(r.group_next_act[g], cycle + bound)
-            r.act_history.append(cycle)
-            if len(r.act_history) > 8:
-                del r.act_history[:-8]
+                group_next_act[g] = max(group_next_act[g], cycle + bound)
+                fold[g] = max(group_next_act[g], rank_bound)
             self.activate_count += 1
             if self.probe is not None:
                 self.probe.activate(cycle, rank)
@@ -408,28 +443,37 @@ class DRAMChannel:
             data_start = cycle + latency
             data_end = data_start + bus_cycles
 
-            # Column-to-column spacing stretches with the burst.
-            ccd_l = max(t.CCD_L, bus_cycles)
-            ccd_s = max(t.CCD_S, bus_cycles)
-            for g in range(self.geometry.bank_groups):
-                ccd = ccd_l if g == group else ccd_s
-                r.group_next_rd[g] = max(r.group_next_rd[g], cycle + ccd)
-                r.group_next_wr[g] = max(r.group_next_wr[g], cycle + ccd)
-
             if is_write:
                 # Write recovery and write-to-read turnaround count from
                 # the end of write data.
                 b.next_pre = max(b.next_pre, data_end + t.WR)
                 r.next_rd = max(r.next_rd, data_end + t.WTR_S)
-                for g in range(self.geometry.bank_groups):
-                    bound = t.WTR_L if g == group else t.WTR_S
-                    r.group_next_rd[g] = max(r.group_next_rd[g], data_end + bound)
                 self.write_count += 1
                 self.write_beats += bus_cycles * 2
             else:
                 b.next_pre = max(b.next_pre, cycle + t.RTP)
                 self.read_count += 1
                 self.read_beats += bus_cycles * 2
+
+            # Column-to-column spacing stretches with the burst.
+            ccd_l = max(t.CCD_L, bus_cycles)
+            ccd_s = max(t.CCD_S, bus_cycles)
+            group_next_rd = r.group_next_rd
+            group_next_wr = r.group_next_wr
+            fold_rd = self.fold_rd[rank]
+            fold_wr = self.fold_wr[rank]
+            for g in range(self.geometry.bank_groups):
+                same = g == group
+                ccd = ccd_l if same else ccd_s
+                next_rd = max(group_next_rd[g], cycle + ccd)
+                if is_write:
+                    wtr = t.WTR_L if same else t.WTR_S
+                    next_rd = max(next_rd, data_end + wtr)
+                next_wr = max(group_next_wr[g], cycle + ccd)
+                group_next_rd[g] = next_rd
+                group_next_wr[g] = next_wr
+                fold_rd[g] = max(next_rd, r.next_rd)
+                fold_wr[g] = max(next_wr, r.next_wr)
 
             if auto_precharge:
                 # RDA/WRA: the device precharges itself once the column
@@ -449,6 +493,7 @@ class DRAMChannel:
             self.bus_free_at = data_end
             self.last_bus_rank = rank
             self.last_bus_was_write = is_write
+            self._update_bus_bounds()
             self.busy_cycles += bus_cycles
             if self.keep_log:
                 self.transactions.append(

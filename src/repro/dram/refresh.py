@@ -27,6 +27,10 @@ class RefreshScheduler:
         self._next_due = [timing.REFI] * ranks
         self._debt = [0] * ranks
         self._min_due = timing.REFI  # cheap gate for the hot path
+        # True when some rank has exhausted its postponement budget and
+        # must refresh before anything else.  Kept current by accrue
+        # and paid, so the controller's per-event test is a read.
+        self.overdue = False
 
     def accrue(self, now: int) -> None:
         """Convert elapsed time into refresh debt.
@@ -50,6 +54,7 @@ class RefreshScheduler:
             self._debt[rank] = min(MAX_POSTPONED, self._debt[rank] + missed)
             self._next_due[rank] += missed * refi
         self._min_due = min(self._next_due)
+        self.overdue = max(self._debt) >= MAX_POSTPONED
 
     def debt(self, rank: int) -> int:
         """Outstanding refresh obligations for ``rank``."""
@@ -58,10 +63,6 @@ class RefreshScheduler:
     def urgent(self, rank: int) -> bool:
         """True when the rank has exhausted its postponement budget."""
         return self._debt[rank] >= MAX_POSTPONED
-
-    def any_urgent(self) -> bool:
-        """True when some rank must refresh before anything else."""
-        return max(self._debt) >= MAX_POSTPONED
 
     def any_debt(self) -> bool:
         """True when at least one refresh is owed somewhere."""
@@ -77,6 +78,7 @@ class RefreshScheduler:
         if self._debt[rank] <= 0:
             raise ValueError(f"rank {rank} has no refresh debt to pay")
         self._debt[rank] -= 1
+        self.overdue = max(self._debt) >= MAX_POSTPONED
 
     def next_event(self) -> int:
         """Cycle at which the next obligation accrues (for event skipping).
@@ -90,4 +92,4 @@ class RefreshScheduler:
         is ever missed (the purity contract in DESIGN.md, "Event
         core").
         """
-        return min(self._next_due)
+        return self._min_due

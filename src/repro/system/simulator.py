@@ -367,8 +367,9 @@ class _SimCore:
                 self._drive_core(core_id, now, dirty)
 
             # 3. One scheduling step per due-or-enqueued controller,
-            #    then reschedule its wake.
-            for ch in sorted(set(due) | dirty):
+            #    then reschedule its wake (``due`` is already sorted
+            #    and duplicate-free: the heap pops channels in order).
+            for ch in sorted(dirty.union(due)) if dirty else due:
                 mc = controllers[ch]
                 if mc.step(now):
                     events.push_ctrl(ch, now + 1)

@@ -116,6 +116,24 @@ class TestRegistryRefactorIdentity:
         RunSpec(benchmark="CG", policy="bl14", accesses_per_core=150):
             "481ea5f399041d93ee6f03be9624a158"
             "e9f2b746a055d523bc28dc023c8083b9",
+        # Captured before runs built only the zero tables they can
+        # send: scheme sets beyond the default mil pair, and the
+        # closed-page auto-precharge path.
+        RunSpec(benchmark="GUPS", policy="cafo2", accesses_per_core=150):
+            "a32443b8494585a4b47c5067309d848d"
+            "3a5f9c3d6cfd0db7f32d3a1521f30481",
+        RunSpec(benchmark="FFT", policy="mil-lwc12", lookahead=9,
+                accesses_per_core=150):
+            "6a125b0fbc5a3f93478ac9adb6709838"
+            "5de5ff9024a9584dd8a5a2bb030e1073",
+        RunSpec(benchmark="GUPS", policy="mil", accesses_per_core=150,
+                mil_overrides={"long_scheme": "lwc12"}):
+            "b6367a281cfefcfa5b1e885c9e5de42b"
+            "281ac2017a187255e54278bbdef7fe19",
+        RunSpec(benchmark="GUPS", policy="mil", accesses_per_core=150,
+                system_overrides={"page_policy": "closed"}):
+            "a896d80a2dd2dd0989f0df2c7e6ed026"
+            "b74942572f54f27bde816df7639d03b2",
     }
 
     def test_cache_keys_are_unchanged(self):

@@ -1,8 +1,8 @@
 """The scheduling-loop caches must be invisible in the command stream.
 
-``ChannelController`` memoises its FR-FCFS candidate list and its
-next-wake time against a state version counter; any stale read would
-reorder or drop DRAM commands.  These tests run the same request
+``ChannelController`` memoises its per-bank row-hit search, its fused
+``(pick, wake)`` pass and its next-wake time against version counters;
+any stale read would reorder or drop DRAM commands.  These tests run the same request
 schedule with the caches on (default) and off (``REPRO_NO_EVENT_CACHE``)
 and hold the two command logs to *byte identity* — same commands, same
 cycles, same order — with the independent protocol auditor signing off
@@ -74,17 +74,26 @@ def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
 
 
 def test_cache_is_actually_exercised():
-    """Guard against the memo silently never hitting (dead cache)."""
+    """Guard against the memos silently never hitting (dead cache)."""
     mc = ChannelController(DDR4_3200, DDR4_GEOMETRY)
     assert mc._cache_enabled is True
-    for line in range(4):
+    for line in (0, 1, 256, 257):  # two row hits in each of two banks
         mc.enqueue(make_request(line), 0)
-    # Same state, repeated queries: the second read must come from the
-    # memo (same list object), and the version must be pinned.
-    first = mc._candidates(0)
-    assert mc._cand_version == mc._state_version
-    assert mc._candidates(0) is first
-    # Issuing a command invalidates it.
-    assert mc.step(0) is True
-    assert mc._cand_version != mc._state_version
-    assert mc._candidates(1) is not first
+    now = 0
+    while mc.channel.activate_count < 2 or mc._schedule_query(now)[0] is None:
+        mc.step(now)
+        now = mc.next_event(now)
+    # Both banks open, a column ready: same state, same cycle, and the
+    # second query is the memoised pass (same pick object, no bank
+    # revisited).
+    pick, wake = mc._schedule_query(now)
+    visits = mc.cand_bank_hits + mc.cand_bank_misses
+    assert mc._schedule_query(now) == (pick, wake)
+    assert mc._schedule_query(now)[0] is pick
+    assert mc.cand_bank_hits + mc.cand_bank_misses == visits
+    # Issuing the pick invalidates the pass; the next one revisits the
+    # banks and serves the untouched one from its per-bank memo.
+    hits = mc.cand_bank_hits
+    assert mc.step(now) is True
+    assert mc._schedule_query(now + 1)[0] is not pick
+    assert mc.cand_bank_hits > hits
