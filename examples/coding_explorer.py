@@ -13,12 +13,7 @@ Usage::
 
 import numpy as np
 
-from repro.coding import (
-    BURST_FORMATS,
-    MiLCCode,
-    line_zeros,
-    raw_line_zeros,
-)
+from repro.coding import MiLCCode, line_zeros, raw_line_zeros, scheme_info
 from repro.coding.bitops import format_bits
 from repro.coding.pipeline import beat_layout
 
@@ -62,7 +57,7 @@ def main() -> None:
     print()
     print("Burst formats (Section 4.4):")
     for name in SCHEMES:
-        fmt = BURST_FORMATS[name]
+        fmt = scheme_info(name)
         print(f"  {name:6s} burst length {fmt.burst_length:2d} "
               f"({fmt.bus_cycles} bus cycles), +{fmt.extra_latency} tCL")
 

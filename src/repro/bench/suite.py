@@ -17,7 +17,7 @@ Groups:
     oracle on the same corpus — the pair is what
     ``benchmarks/test_batched_codec_speedup.py`` gates at >=3x.
 ``dram.*`` / ``controller.*`` / ``core.*``
-    The cycle-level channel tick loop, FR-FCFS candidate scheduling,
+    The cycle-level channel tick loop, the fused FR-FCFS scheduling pass,
     and the MiL look-ahead decision.
 ``audit.*``
     The protocol auditor's log replay — the cost a run pays only when
@@ -275,7 +275,7 @@ def _channel_tick():
 def _queued_controller():
     """A ChannelController with a populated read queue and open rows.
 
-    Shared fixture for the FR-FCFS and decision-logic benchmarks: 32
+    Shared fixture for the scheduling and decision-logic benchmarks: 32
     mapped reads spread over ranks/groups/banks, half of them row hits.
     """
     from ..controller.controller import ChannelController
@@ -319,25 +319,6 @@ def _queued_controller():
             )
             opened.add(key)
     return controller, requests
-
-
-@benchmark(
-    "controller.frfcfs.schedule",
-    params={"queue_depth": 32},
-    smoke=True,
-    description="FR-FCFS candidate generation + pick over a 32-deep queue",
-)
-def _frfcfs():
-    controller, requests = _queued_controller()
-    scheduler = controller.scheduler
-    entries = controller.read_queue.oldest_first()
-    now = 200
-
-    def schedule():
-        cands = scheduler.candidates(entries, now)
-        return scheduler.pick(cands, now)
-
-    return schedule
 
 
 @benchmark(

@@ -65,12 +65,12 @@ Commands
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) sets the
 process-pool width for campaign-backed commands; ``-j1`` stays serial.
 
-``--codec-impl {reference,numpy,native}`` (or the ``REPRO_CODEC_IMPL``
-environment variable) selects the codec backend for every command:
-``numpy`` is the vectorised default, ``reference`` the pure-Python
-oracle, ``native`` an optional accelerated slot that falls back per
-scheme.  All backends are bit-identical, so results never change —
-only wall-clock does.
+``--codec-impl {reference,numpy}`` (or the ``REPRO_CODEC_IMPL``
+environment variable, which also accepts backends other packages
+register) selects the codec backend for every command: ``numpy`` is
+the vectorised default, ``reference`` the pure-Python oracle.  All
+backends are bit-identical, so results never change — only wall-clock
+does.
 
 ``run`` and ``campaign`` accept ``--audit`` (record each run's DRAM
 command log and re-derive every Table 2 constraint from it post-run;
@@ -110,7 +110,7 @@ _BENCH_WARMUP = 2
 # Mirrors repro.coding.registry (IMPL_ENV / KNOWN_IMPLS) for the same
 # reason; registry validates the value again when codecs are built.
 _IMPL_ENV = "REPRO_CODEC_IMPL"
-_KNOWN_IMPLS = ("reference", "numpy", "native")
+_KNOWN_IMPLS = ("reference", "numpy")
 
 
 def _system(name: str):

@@ -43,9 +43,7 @@ from .lwc_family import (
 from .milc import MiLCCode
 from .optimal_lwc import OptimalStaticLWC, byte_frequencies, codeword_zero_levels
 from .pipeline import (
-    BURST_FORMATS,
     LINE_BYTES,
-    BurstFormat,
     beat_layout,
     encode_trace,
     line_zeros,
@@ -95,9 +93,7 @@ __all__ = [
     "byte_frequencies",
     "codeword_zero_levels",
     "TransitionSignaling",
-    "BURST_FORMATS",
     "LINE_BYTES",
-    "BurstFormat",
     "beat_layout",
     "encode_trace",
     "line_zeros",

@@ -26,14 +26,12 @@ campaign-wide :mod:`~repro.coding.zerocache`, so a campaign that
 replays one trace under many policies encodes each (trace, scheme)
 pair exactly once per process.
 
-``BURST_FORMATS``, ``scheme_for`` and ``line_zeros`` are kept as thin
-derived views of the registry for backward compatibility; new code
-should use :mod:`repro.coding.registry` directly.
+``scheme_for`` and ``line_zeros`` are thin conveniences over the
+registry; burst lengths and latencies come from
+:func:`~repro.coding.registry.scheme_info`.
 """
 
 from __future__ import annotations
-
-from collections.abc import MutableMapping
 
 import numpy as np
 
@@ -45,18 +43,10 @@ from . import cafo, dbi, lwc, lwc_family, milc  # noqa: F401
 from . import reference  # noqa: F401
 from . import registry, zerocache
 from .bitops import zeros_in_bytes
-from .registry import (
-    LINE_BYTES,
-    BurstFormat,
-    NoCodecError,
-    beat_layout,
-    check_lines,
-)
+from .registry import LINE_BYTES, NoCodecError, beat_layout, check_lines
 
 __all__ = [
     "LINE_BYTES",
-    "BurstFormat",
-    "BURST_FORMATS",
     "NoCodecError",
     "beat_layout",
     "scheme_for",
@@ -65,8 +55,6 @@ __all__ = [
     "precompute_line_zeros",
     "raw_line_zeros",
 ]
-
-_check_lines = check_lines  # historical private alias
 
 
 def raw_line_zeros(lines: np.ndarray) -> np.ndarray:
@@ -100,45 +88,6 @@ registry.register_burst_format(
 )
 
 
-class _BurstFormatView(MutableMapping):
-    """Live dict-shaped view of the registry (legacy ``BURST_FORMATS``).
-
-    Reads reflect every registration, including ones made after import
-    (the one-file custom-codec path).  Writes forward to the registry
-    so the historical ``BURST_FORMATS["nzc"] = BurstFormat(...)`` recipe
-    keeps working.
-    """
-
-    def __getitem__(self, name: str) -> BurstFormat:
-        try:
-            return registry.scheme_info(name).as_burst_format()
-        except KeyError:
-            raise KeyError(name) from None
-
-    def __setitem__(self, name: str, fmt: BurstFormat) -> None:
-        registry.register_burst_format(
-            name, burst_length=fmt.burst_length,
-            extra_latency=fmt.extra_latency,
-        )
-
-    def __delitem__(self, name: str) -> None:
-        if name not in registry.scheme_names():
-            raise KeyError(name)
-        registry.unregister_scheme(name)
-
-    def __iter__(self):
-        return iter(registry.scheme_names())
-
-    def __len__(self) -> int:
-        return len(registry.scheme_names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BURST_FORMATS({dict(self)!r})"
-
-
-BURST_FORMATS: MutableMapping = _BurstFormatView()
-
-
 def scheme_for(name: str):
     """Return the codec object registered under ``name``.
 
@@ -168,8 +117,9 @@ def encode_trace(
     line order for DBI/LWC) and runs the codec's ``encode_lines``
     kernel: ``(n, 64)`` uint8 lines in, ``(n, code_bits_per_line)``
     uint8 bit rows out.  ``impl`` selects a specific backend
-    (``"reference"`` | ``"numpy"`` | ``"native"``); ``None`` uses the
-    process-wide :func:`~repro.coding.registry.active_impl`.  This is
+    (``"reference"`` | ``"numpy"``, or one another package registered);
+    ``None`` uses the process-wide
+    :func:`~repro.coding.registry.active_impl`.  This is
     what the ``coding.encode_trace.*`` benchmarks measure.
     """
     info = registry.scheme_info(scheme)
@@ -221,12 +171,3 @@ def precompute_line_zeros(
             table = cache.put(digest, scheme, line_zeros(scheme, lines))
         tables[scheme] = table
     return tables
-
-
-def __getattr__(name: str):
-    # Legacy private surface, derived live from the registry so old
-    # call sites (and tests) keep seeing every registered codec.
-    if name == "_SCHEMES":
-        return {n: registry.scheme_info(n).codec
-                for n in registry.codec_schemes()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,10 +38,10 @@ squares that appear when the line is rearranged into bus-beat order,
 which is where the spatial correlation they exploit lives.
 
 Every codec entry additionally carries a *backend slot*: a mapping from
-implementation name (``"reference"`` | ``"numpy"`` | ``"native"``) to a
-factory for that implementation.  ``register_codec`` installs the
-decorated factory as the entry's default backend; alternative
-implementations self-register afterwards::
+implementation name (``"reference"`` | ``"numpy"``, or a name another
+package registers) to a factory for that implementation.
+``register_codec`` installs the decorated factory as the entry's
+default backend; alternative implementations self-register afterwards::
 
     @register_backend("dbi", "reference")
     class ReferenceDBI(CodingScheme):
@@ -50,9 +50,10 @@ implementations self-register afterwards::
 The active backend is chosen per process via the ``REPRO_CODEC_IMPL``
 environment variable (the CLI's ``--codec-impl`` flag sets it), and a
 scheme with no backend registered under the requested name silently
-falls back to its default — asking for ``native`` kernels degrades to
-``numpy`` rather than failing, exactly like ``HAVE_NATIVE_POPCOUNT``
-gating in :mod:`repro.coding.bitops`.  All backends of a scheme must be
+falls back to its default — an impl that another package registers for
+some schemes can be selected process-wide without failing on the rest,
+exactly like ``HAVE_NATIVE_POPCOUNT`` gating in
+:mod:`repro.coding.bitops`.  All backends of a scheme must be
 bit-identical; the cross-validation suite in
 ``tests/coding/test_backend_equivalence.py`` enforces it, which is what
 lets zero tables (and therefore campaign cache entries) stay
@@ -72,7 +73,6 @@ __all__ = [
     "IMPL_ENV",
     "KNOWN_IMPLS",
     "LINE_BYTES",
-    "BurstFormat",
     "CodecInfo",
     "NoCodecError",
     "active_impl",
@@ -98,14 +98,13 @@ LINE_BYTES = 64
 # ``reference`` — pure-Python, per-element oracle (slow, obviously
 #     correct; what the property suites cross-validate against).
 # ``numpy``     — the vectorised batched kernels (default).
-# ``native``    — reserved for compiled extensions; schemes without one
-#     fall back to their default backend automatically.
 IMPL_ENV = "REPRO_CODEC_IMPL"
-KNOWN_IMPLS = ("reference", "numpy", "native")
+KNOWN_IMPLS = ("reference", "numpy")
 DEFAULT_IMPL = "numpy"
 
-# Impl names introduced by third-party ``register_backend`` calls; they
-# become valid ``REPRO_CODEC_IMPL`` values alongside KNOWN_IMPLS.
+# Impl names introduced by other packages' ``register_backend`` calls;
+# they become valid ``REPRO_CODEC_IMPL`` values alongside KNOWN_IMPLS,
+# and schemes without one fall back to their default backend.
 _EXTRA_IMPLS: set[str] = set()
 
 
@@ -131,30 +130,6 @@ def active_impl() -> str:
 
 class NoCodecError(KeyError):
     """A known burst format has no codec registered behind it."""
-
-
-@dataclass(frozen=True)
-class BurstFormat:
-    """How one coding scheme occupies the data bus for a 64-byte line.
-
-    Attributes
-    ----------
-    scheme:
-        Short scheme name.
-    burst_length:
-        Beats per transaction (two beats per DRAM clock).
-    extra_latency:
-        Codec cycles added to tCL/tWL while this scheme is active.
-    """
-
-    scheme: str
-    burst_length: int
-    extra_latency: int
-
-    @property
-    def bus_cycles(self) -> int:
-        """DRAM clock cycles of data-bus occupancy (DDR: 2 beats/cycle)."""
-        return (self.burst_length + 1) // 2
 
 
 def check_lines(lines: np.ndarray) -> np.ndarray:
@@ -268,9 +243,9 @@ class CodecInfo:
 
         ``impl=None`` means :func:`active_impl`.  A scheme without a
         registration under the requested impl falls back to its
-        ``default_impl`` (so ``native`` degrades to ``numpy`` instead of
-        failing); the instance is cached under the *resolved* impl, so
-        the fallback shares the default's singleton.
+        ``default_impl`` instead of failing; the instance is cached
+        under the *resolved* impl, so the fallback shares the default's
+        singleton.
         """
         if self.factory is None:
             raise NoCodecError(
@@ -284,10 +259,6 @@ class CodecInfo:
             instance = self.backends[resolved]()
             self._cache[resolved] = instance
         return instance
-
-    def as_burst_format(self) -> BurstFormat:
-        """The legacy :class:`BurstFormat` view of this entry."""
-        return BurstFormat(self.name, self.burst_length, self.extra_latency)
 
     def line_zeros(self, lines: np.ndarray) -> np.ndarray:
         """Zeros on the bus per ``(n, 64)`` line under this scheme."""

@@ -5,6 +5,13 @@ advances in DRAM cycles but never busy-waits: :meth:`next_event` reports
 the earliest future cycle at which anything could change, and the system
 simulator jumps straight there.
 
+Commands are scheduled First-Ready, First-Come-First-Served (Rixner et
+al., ISCA 2000; Table 2): among commands that can issue *now*, column
+commands to already-open rows (row hits) win, oldest first; otherwise
+the controller works on the oldest request's row, via ACTIVATE when the
+bank is closed or PRECHARGE on a row conflict — but a conflicting row
+is never closed while other queued requests still hit it.
+
 The MiL framework plugs in through a *coding policy* object with two
 members (duck-typed to avoid a dependency cycle with ``repro.core``):
 
@@ -19,33 +26,34 @@ The baseline :class:`AlwaysScheme` policy always answers ``"dbi"``.
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 from ..coding.registry import scheme_info
 from ..dram.channel import DRAMChannel
 from ..dram.commands import CommandType, Geometry
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import TimingParams
-from .frfcfs import CandidateCommand, FRFCFSScheduler
 from .queues import TransactionQueue
 from .request import MemoryRequest
 from .writedrain import WriteDrainPolicy
 
-__all__ = ["AlwaysScheme", "ChannelController", "NO_EVENT_CACHE_ENV"]
-
-# Kill switch for the scheduling-loop memoisation (candidate list and
-# wake-time caches).  The caches are invalidated on every state change
-# (enqueue, issue, drain flip), so disabling them must never alter a
-# single issued command — tests/controller/test_event_cache.py holds
-# the two modes to byte-identical, auditor-clean command logs.
-NO_EVENT_CACHE_ENV = "REPRO_NO_EVENT_CACHE"
+__all__ = ["AlwaysScheme", "CandidateCommand", "ChannelController"]
 
 # Larger than any simulated cycle: the running minimum's start value.
 _NEVER = 1 << 62
 
 
-def _event_cache_enabled() -> bool:
-    return os.environ.get(NO_EVENT_CACHE_ENV, "") not in ("1", "true", "yes")
+@dataclass(slots=True)
+class CandidateCommand:
+    """One legal (or soon-legal) command the scheduler is considering."""
+
+    cmd: CommandType
+    rank: int
+    group: int
+    bank: int
+    row: int
+    earliest: int
+    request: MemoryRequest | None  # None for PRE on behalf of a conflict
 
 
 class AlwaysScheme:
@@ -95,7 +103,6 @@ class ChannelController:
             self.timing, geometry, keep_log=keep_log,
             keep_cmd_log=keep_cmd_log,
         )
-        self.scheduler = FRFCFSScheduler(self.channel)
         self.refresh = (
             RefreshScheduler(self.timing, geometry.ranks)
             if refresh_enabled
@@ -125,11 +132,7 @@ class ChannelController:
         # else ACT for the bucket head, else PRE).  For an open bank
         # the row-hit search is memoised against the queue's bucket
         # version and the bank's open row, so an enqueue or issue only
-        # re-derives the banks it touched.  REPRO_NO_EVENT_CACHE=1
-        # recomputes everything every call via the full-scan
-        # FRFCFSScheduler.candidates oracle, for A/B-ing the memos
-        # against the protocol auditor.
-        self._cache_enabled = _event_cache_enabled()
+        # re-derives the banks it touched.
         self._state_version = 0
         # Per-bank row-hit memos, one per queue direction, keyed by the
         # bucket key (rank, group, bank) ->
@@ -369,11 +372,6 @@ class ChannelController:
             if self._probe is not None:
                 self._probe.drain_transition(now, draining)
 
-    def _active_entries(self, now: int) -> list[MemoryRequest]:
-        self._sync_drain(now)
-        queue = self.write_queue if self.draining_now else self.read_queue
-        return queue.oldest_first()
-
     def _derive_bank_candidate(self, bucket: list, open_row: int):
         """Oldest queued request hitting ``open_row``, or None.
 
@@ -390,19 +388,19 @@ class ChannelController:
                 best = req
         return best
 
-    def _candidates(self, now: int) -> list:
-        """Full-scan FR-FCFS candidate list (the kill-switch oracle)."""
-        return self.scheduler.candidates(self._active_entries(now), now)
-
     def _schedule_query(self, now: int):
         """Fused ``(pick, wake)`` for cycle ``now`` in one bucket pass.
 
-        Equivalent to ``scheduler.pick(self._candidates(now), now)``
-        plus ``scheduler.next_wakeup(...)`` but without building the
-        list: the pass tracks the oldest ready column (FR-FCFS
-        (arrival, serial) order), the first-generated ready ACTIVATE,
-        the first-generated ready PRECHARGE, and the minimum earliest
-        over all per-bank candidates.  Each candidate's earliest cycle
+        Each bank with queued requests contributes one candidate: a
+        column command for its oldest row hit, else an ACTIVATE for
+        its bucket head when the bank is closed, else a PRECHARGE.  The
+        pass tracks the oldest ready column (FR-FCFS (arrival, serial)
+        order), the first-queued ready ACTIVATE, the first-queued ready
+        PRECHARGE, and the minimum earliest over all per-bank
+        candidates, without building a candidate list.  ``pick`` is the
+        winner issueable at ``now`` (or None); ``wake`` is the earliest
+        cycle any candidate becomes issueable (None when the active
+        queue is empty).  Each candidate's earliest cycle
         is max(bank register, the channel's folded rank/group register,
         the channel's bus bound) — the same answer as
         ``DRAMChannel.earliest_issue``, read off the registers the
@@ -543,8 +541,7 @@ class ChannelController:
         if now < self.next_cmd_cycle:
             return False
         if (
-            self._cache_enabled
-            and self._wake_version == self._state_version
+            self._wake_version == self._state_version
             and self._wake_time is not None
             and now < self._wake_time
         ):
@@ -562,11 +559,7 @@ class ChannelController:
             self.next_cmd_cycle = now + 1
             return True
 
-        if self._cache_enabled:
-            pick, _ = self._schedule_query(now)
-        else:
-            pick = self.scheduler.pick(self._candidates(now), now)
-
+        pick, _ = self._schedule_query(now)
         if pick is None:
             action = self._idle_refresh_action(now)
             if action is not None:
@@ -626,8 +619,7 @@ class ChannelController:
         """
         floor = max(now + 1, self.next_cmd_cycle)
         if (
-            self._cache_enabled
-            and self._wake_version == self._state_version
+            self._wake_version == self._state_version
             and self._wake_time is not None
             and now < self._wake_time
         ):
@@ -646,10 +638,7 @@ class ChannelController:
             if action is not None:
                 times.append(action[4])
         if self.has_pending:
-            if self._cache_enabled:
-                _, wake = self._schedule_query(now)
-            else:
-                wake = self.scheduler.next_wakeup(self._candidates(now))
+            _, wake = self._schedule_query(now)
             if wake is not None:
                 times.append(wake)
         if not times:

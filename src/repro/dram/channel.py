@@ -108,9 +108,7 @@ class CommandRecord:
 class _RankState:
     """Per-rank constraint registers."""
 
-    next_act: int = 0
     next_rd: int = 0
-    next_wr: int = 0
     act_history: list = field(default_factory=list)  # for tFAW
     group_next_act: list = field(default_factory=list)
     group_next_rd: list = field(default_factory=list)
@@ -414,9 +412,7 @@ class DRAMChannel:
             if len(history) > 8:
                 del history[:-8]
             # tFAW: a fifth ACTIVATE waits for the fourth-last one.
-            rank_bound = r.next_act
-            if len(history) >= 4:
-                rank_bound = max(rank_bound, history[-4] + t.FAW)
+            rank_bound = history[-4] + t.FAW if len(history) >= 4 else 0
             group_next_act = r.group_next_act
             fold = self.fold_act[rank]
             for g in range(self.geometry.bank_groups):
@@ -473,7 +469,7 @@ class DRAMChannel:
                 group_next_rd[g] = next_rd
                 group_next_wr[g] = next_wr
                 fold_rd[g] = max(next_rd, r.next_rd)
-                fold_wr[g] = max(next_wr, r.next_wr)
+                fold_wr[g] = next_wr
 
             if auto_precharge:
                 # RDA/WRA: the device precharges itself once the column

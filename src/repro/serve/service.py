@@ -1,7 +1,7 @@
 """`CampaignService`: the asyncio scheduler loop around the job manager.
 
 One service owns one :class:`~repro.serve.jobs.JobManager`, one
-:class:`~repro.serve.shards.ShardPool`, and one
+:class:`~repro.serve.shards.LeaseBroker`, and one
 :class:`~repro.serve.store.ResultStore`, all driven from a single event
 loop.  The flow per work unit (one content-addressed cache key):
 

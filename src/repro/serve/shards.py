@@ -46,8 +46,7 @@ import time
 from ..campaign.runner import _execute
 from .protocol import frame
 
-__all__ = ["LeaseBroker", "RemoteWorker", "ShardPool",
-           "shard_count_from_env"]
+__all__ = ["LeaseBroker", "RemoteWorker", "shard_count_from_env"]
 
 SHARDS_ENV = "REPRO_SERVE_SHARDS"
 DEFAULT_SHARDS = 2
@@ -463,8 +462,3 @@ class LeaseBroker:
                 "completed": worker.completed,
             })
         return out
-
-
-# The pre-PR-9 name: the broker grew out of the local-only shard pool
-# and keeps answering to it.
-ShardPool = LeaseBroker

@@ -21,24 +21,14 @@ The engine is event-driven: a cross-channel
 :class:`~repro.system.events.EventQueue` holds completion times, core
 arm times, and per-controller wakes, and the main loop jumps from one
 populated cycle to the next — an idle channel is never polled while
-another streams a burst.  Setting ``REPRO_NO_EVENT_CACHE=1`` falls back
-to the original lockstep loop (every core and every controller visited
-at every global event time), which doubles as the equivalence oracle:
-both paths must produce byte-identical command logs (see DESIGN.md,
-"Event core").
+another streams a burst (see DESIGN.md, "Event core").
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from dataclasses import dataclass, field
 
-from ..controller.controller import (
-    AlwaysScheme,
-    ChannelController,
-    NO_EVENT_CACHE_ENV,
-)
+from ..controller.controller import AlwaysScheme, ChannelController
 from ..controller.request import MemoryRequest
 from ..dram.address import AddressMapper
 from ..workloads.trace import MemoryTrace
@@ -46,10 +36,6 @@ from .events import EventQueue
 from .machine import SystemConfig
 
 __all__ = ["SimulationResult", "simulate", "accrue_pending_cycles"]
-
-
-def _event_core_enabled() -> bool:
-    return os.environ.get(NO_EVENT_CACHE_ENV, "") not in ("1", "true", "yes")
 
 
 @dataclass
@@ -127,8 +113,8 @@ def accrue_pending_cycles(controllers, pending_cycles, now, nxt) -> None:
     data tail extends past ``now`` is pending until the tail ends
     (clipped to ``nxt``).  The accrual telescopes: splitting a jump at
     any intermediate event-free cycle charges the same total, which is
-    what lets the event heap visit fewer cycles than the lockstep loop
-    without changing the counters.
+    what lets the event heap skip event-free cycles without changing
+    the counters.
     """
     for ch, mc in enumerate(controllers):
         if mc.has_pending:
@@ -143,16 +129,13 @@ class _SimCore:
     """The simulation engine: cores, controllers, and the event loop.
 
     All mutable loop state lives in slots; the hot methods bind their
-    attributes to locals once per call.  Two drivers share every
-    state-transition method: :meth:`run_event` (the cross-channel event
-    heap) and :meth:`run_lockstep` (the original
-    advance-everything-to-the-global-minimum loop, kept verbatim as the
-    ``REPRO_NO_EVENT_CACHE=1`` oracle).
+    attributes to locals once per call.  :meth:`run_event` drives the
+    state-transition methods off the cross-channel event heap.
     """
 
     __slots__ = (
         "cores", "controllers", "mapper", "mlp", "address_mask",
-        "completion_heap", "inflight", "pending_cycles",
+        "inflight", "pending_cycles",
         "demand_reads", "read_latency_sum", "dropped_prefetches",
         "last_completion", "now", "events", "waiters", "done_cores",
     )
@@ -163,7 +146,6 @@ class _SimCore:
         self.mapper = mapper
         self.mlp = config.mlp
         self.address_mask = mapper.capacity_bytes - 1
-        self.completion_heap: list[tuple[int, int]] = []  # (finish, serial)
         self.inflight: dict[int, tuple[MemoryRequest, int]] = {}
         self.pending_cycles = [0] * config.channels
         self.demand_reads = 0
@@ -171,7 +153,7 @@ class _SimCore:
         self.dropped_prefetches = 0
         self.last_completion = 0
         self.now = 0
-        self.events: EventQueue | None = None
+        self.events = EventQueue(len(controllers), len(self.cores))
         # Cores stalled on a full transaction queue, per channel; woken
         # when that channel's controller issues (the only event that can
         # free a slot).
@@ -181,15 +163,14 @@ class _SimCore:
         self.done_cores = sum(1 for core in self.cores if not core.records)
 
     # ------------------------------------------------------------------
-    # Core-side transitions (shared by both drivers)
+    # Core-side transitions
     # ------------------------------------------------------------------
     def _issue_from_core(self, core_id: int, core: _CoreState, now: int,
                          dirty) -> bool:
         """Try to issue the core's next record; True on progress.
 
         ``dirty`` is a set collecting the channels enqueued into this
-        round (the event driver steps exactly those; the lockstep
-        driver passes a throwaway).
+        round (the event driver steps exactly those).
         """
         rec = core.records[core.index]
         if now < core.earliest:
@@ -254,11 +235,10 @@ class _SimCore:
     def _drive_core(self, core_id: int, now: int, dirty) -> None:
         """Issue as much as the core can, then schedule its wake-up.
 
-        The block classification mirrors the lockstep loop's candidate
-        rules: a core waiting on a completion (dependence or MLP) is
-        woken by the completion retire; a core inside its think time is
-        armed in the event queue; a core stalled on a full queue waits
-        on that channel's next issued command.
+        A core waiting on a completion (dependence or MLP) is woken by
+        the completion retire; a core inside its think time is armed in
+        the event queue; a core stalled on a full queue waits on that
+        channel's next issued command.
         """
         core = self.cores[core_id]
         records = core.records
@@ -306,8 +286,7 @@ class _SimCore:
     def _collect_completions(self, mc, push) -> None:
         """Fold one controller's completed requests into the bookkeeping.
 
-        ``push(finish, serial)`` schedules the retire — a heap push for
-        the lockstep driver, an event push for the event driver.
+        ``push(finish, serial)`` schedules the retire.
         """
         for request in mc.drain_completions():
             finish = request.finish_cycle
@@ -339,16 +318,15 @@ class _SimCore:
     def run_event(self, max_cycles: int) -> None:
         """Drive the simulation off the cross-channel event heap.
 
-        Each round processes one populated cycle in the same phase
-        order as the lockstep loop (retire, core issue, controller
-        step, completion collection), but only touches the cores and
-        controllers that have an event there — plus the controllers
-        that received an enqueue this round, since an enqueue at ``t``
-        can enable an issue at ``t``.
+        Each round processes one populated cycle in a fixed phase order
+        (retire, core issue, controller step, completion collection),
+        but only touches the cores and controllers that have an event
+        there — plus the controllers that received an enqueue this
+        round, since an enqueue at ``t`` can enable an issue at ``t``.
         """
         cores = self.cores
         controllers = self.controllers
-        events = self.events = EventQueue(len(controllers), len(cores))
+        events = self.events
         waiters = self.waiters
         push = events.push_completion
 
@@ -404,83 +382,6 @@ class _SimCore:
             attempt = set(armed)
         self.now = now
 
-    # ------------------------------------------------------------------
-    # Lockstep driver (the REPRO_NO_EVENT_CACHE oracle)
-    # ------------------------------------------------------------------
-    def run_lockstep(self, max_cycles: int) -> None:
-        """Advance every core and controller to each global event time.
-
-        This is the original main loop, preserved as the equivalence
-        oracle for the event-heap driver: under
-        ``REPRO_NO_EVENT_CACHE=1`` the controller also recomputes its
-        candidate list from scratch each call, so the pair proves the
-        whole caching stack transparent (byte-identical command logs).
-        """
-        cores = self.cores
-        controllers = self.controllers
-        completion_heap = self.completion_heap
-        inflight = self.inflight
-        mlp = self.mlp
-
-        def push(finish: int, serial: int) -> None:
-            heapq.heappush(completion_heap, (finish, serial))
-
-        dirty: set = set()  # unused by this driver; throwaway sink
-        now = 0
-        while now < max_cycles:
-            # 1. Retire completions whose data has arrived.
-            ready: list = []
-            while completion_heap and completion_heap[0][0] <= now:
-                ready.append(heapq.heappop(completion_heap)[1])
-            if ready:
-                self._retire_completions(ready, set())
-
-            # 2. Let every core push work into the controllers.
-            for core_id, core in enumerate(cores):
-                while core.index < len(core.records) and self._issue_from_core(
-                    core_id, core, now, dirty
-                ):
-                    pass
-
-            # 3. One scheduling step per controller.
-            stepped = [mc.step(now) for mc in controllers]
-
-            # 4. Collect newly scheduled transfers into the heap.
-            for mc in controllers:
-                self._collect_completions(mc, push)
-
-            if self._finished():
-                break
-
-            # 5. Jump to the next event.
-            candidates: list[int] = []
-            if completion_heap:
-                candidates.append(completion_heap[0][0])
-            for mc, did in zip(controllers, stepped):
-                nxt = (now + 1) if did else mc.next_event(now)
-                if nxt is not None:
-                    candidates.append(nxt)
-            for core in cores:
-                if core.index >= len(core.records):
-                    continue
-                if core.wait_completion_of is not None:
-                    continue  # completion heap covers the wake-up
-                rec = core.records[core.index]
-                if not rec.is_write and not rec.is_prefetch:
-                    if core.outstanding >= mlp:
-                        continue  # a completion will free a slot
-                candidates.append(max(now + 1, core.earliest))
-
-            if not candidates:
-                self.now = now
-                raise self._deadlock()
-            nxt = max(now + 1, min(candidates))
-            accrue_pending_cycles(
-                controllers, self.pending_cycles, now, nxt
-            )
-            now = nxt
-        self.now = now
-
 
 def simulate(
     trace: MemoryTrace,
@@ -531,13 +432,10 @@ def simulate(
     policy_name = getattr(policy, "scheme", None) or type(policy).__name__
 
     engine = _SimCore(trace, config, controllers, mapper)
-    if _event_core_enabled():
-        engine.run_event(max_cycles)
-    else:
-        engine.run_lockstep(max_cycles)
+    engine.run_event(max_cycles)
 
     events = engine.events
-    if telemetry is not None and events is not None:
+    if telemetry is not None:
         telemetry.sim_probe().event_queue(events.pops, events.stale)
 
     cycles = max(engine.last_completion, engine.now)
@@ -555,7 +453,7 @@ def simulate(
             "trace_records": trace.total_records,
             "forwarded_reads": sum(mc.forwarded_reads for mc in controllers),
             "coalesced_writes": sum(mc.coalesced_writes for mc in controllers),
-            "event_queue_pops": events.pops if events is not None else 0,
-            "event_queue_stale": events.stale if events is not None else 0,
+            "event_queue_pops": events.pops,
+            "event_queue_stale": events.stale,
         },
     )

@@ -133,7 +133,8 @@ class TestZeroTablesImplIndependent:
         for scheme in ("dbi", "milc"):
             assert second[scheme] is first[scheme]
 
-    def test_unknown_impl_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(registry.IMPL_ENV, "cython")
+    @pytest.mark.parametrize("impl", ["cython", "native"])
+    def test_unknown_impl_env_rejected(self, monkeypatch, impl):
+        monkeypatch.setenv(registry.IMPL_ENV, impl)
         with pytest.raises(ValueError):
             registry.active_impl()

@@ -3,11 +3,11 @@
 import numpy as np
 
 from repro.coding import (
-    BURST_FORMATS,
     DBICode,
     MiLCCode,
     line_zeros,
     raw_line_zeros,
+    scheme_info,
 )
 from repro.coding.pipeline import beat_layout
 
@@ -48,8 +48,8 @@ class TestBeatLayout:
 
 class TestRawScheme:
     def test_registered_with_bl8(self):
-        assert BURST_FORMATS["raw"].burst_length == 8
-        assert BURST_FORMATS["raw"].extra_latency == 0
+        assert scheme_info("raw").burst_length == 8
+        assert scheme_info("raw").extra_latency == 0
 
     def test_counts_plain_zeros(self):
         rng = np.random.default_rng(33)

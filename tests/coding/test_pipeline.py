@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.coding import (
-    BURST_FORMATS,
     LINE_BYTES,
     line_zeros,
     precompute_line_zeros,
     raw_line_zeros,
     scheme_for,
+    scheme_info,
+    scheme_names,
 )
 
 
@@ -17,23 +18,23 @@ class TestBurstFormats:
     def test_paper_burst_lengths(self):
         # Section 4.4: BL8 baseline, BL10 for MiLC/CAFO, BL16 for 3-LWC;
         # BL12 for the Section 7.5.3 intermediate code.
-        assert BURST_FORMATS["raw"].burst_length == 8
-        assert BURST_FORMATS["lwc12"].burst_length == 12
-        assert BURST_FORMATS["dbi"].burst_length == 8
-        assert BURST_FORMATS["milc"].burst_length == 10
-        assert BURST_FORMATS["3lwc"].burst_length == 16
-        assert BURST_FORMATS["cafo2"].burst_length == 10
-        assert BURST_FORMATS["cafo4"].burst_length == 10
+        assert scheme_info("raw").burst_length == 8
+        assert scheme_info("lwc12").burst_length == 12
+        assert scheme_info("dbi").burst_length == 8
+        assert scheme_info("milc").burst_length == 10
+        assert scheme_info("3lwc").burst_length == 16
+        assert scheme_info("cafo2").burst_length == 10
+        assert scheme_info("cafo4").burst_length == 10
 
     def test_bus_cycles_are_half_burst(self):
-        assert BURST_FORMATS["dbi"].bus_cycles == 4
-        assert BURST_FORMATS["milc"].bus_cycles == 5
-        assert BURST_FORMATS["3lwc"].bus_cycles == 8
+        assert scheme_info("dbi").bus_cycles == 4
+        assert scheme_info("milc").bus_cycles == 5
+        assert scheme_info("3lwc").bus_cycles == 8
 
     def test_codec_latency(self):
-        assert BURST_FORMATS["dbi"].extra_latency == 0
-        assert BURST_FORMATS["milc"].extra_latency == 1
-        assert BURST_FORMATS["cafo4"].extra_latency == 4
+        assert scheme_info("dbi").extra_latency == 0
+        assert scheme_info("milc").extra_latency == 1
+        assert scheme_info("cafo4").extra_latency == 4
 
     def test_scheme_registry(self):
         assert scheme_for("milc").name == "milc"
@@ -59,7 +60,7 @@ class TestLineZeros:
         import pytest as _pytest
 
         for name in ("bl12", "bl14"):
-            assert name in BURST_FORMATS
+            assert name in scheme_names()
             with _pytest.raises(KeyError):
                 line_zeros(name, self.lines)
 

@@ -194,29 +194,6 @@ class TestRegistrationRules:
         finally:
             unregister_scheme("_tmp_lazy")
 
-    def test_views_are_live(self):
-        # New registrations appear in the legacy dict view immediately.
-        from repro.coding.pipeline import BURST_FORMATS
-
-        register_burst_format("_tmp_live", burst_length=18,
-                              extra_latency=2)
-        try:
-            assert BURST_FORMATS["_tmp_live"].burst_length == 18
-            assert "_tmp_live" in registry.scheme_names()
-        finally:
-            unregister_scheme("_tmp_live")
-        assert "_tmp_live" not in BURST_FORMATS
-
-    def test_legacy_setitem_forwards_to_registry(self):
-        from repro.coding.pipeline import BURST_FORMATS, BurstFormat
-
-        BURST_FORMATS["_tmp_set"] = BurstFormat("_tmp_set", 9, 1)
-        try:
-            assert scheme_info("_tmp_set").burst_length == 9
-        finally:
-            del BURST_FORMATS["_tmp_set"]
-        assert "_tmp_set" not in BURST_FORMATS
-
 
 class TestCodecInfoMetadata:
     def test_layouts_match_figure_12(self):

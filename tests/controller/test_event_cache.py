@@ -2,8 +2,9 @@
 
 ``ChannelController`` memoises its per-bank row-hit search, its fused
 ``(pick, wake)`` pass and its next-wake time against version counters;
-any stale read would reorder or drop DRAM commands.  These tests run the same request
-schedule with the caches on (default) and off (``REPRO_NO_EVENT_CACHE``)
+any stale read would reorder or drop DRAM commands.  These tests run the
+same request schedule through the production controller and through
+:class:`tests.event_oracle.OracleController`, which bypasses every memo,
 and hold the two command logs to *byte identity* — same commands, same
 cycles, same order — with the independent protocol auditor signing off
 on both runs.  This is the gate the optimisation rides behind.
@@ -15,8 +16,9 @@ import random
 
 import pytest
 
-from repro.controller import NO_EVENT_CACHE_ENV, ChannelController
+from repro.controller import ChannelController
 from repro.dram import DDR4_3200, DDR4_GEOMETRY
+from tests.event_oracle import OracleController
 
 from .test_controller import make_request, run_to_completion
 
@@ -33,8 +35,8 @@ def _schedule(seed: int, n: int = 48) -> list[tuple[int, bool]]:
     return schedule
 
 
-def _run(schedule, page_policy: str):
-    mc = ChannelController(
+def _run(schedule, page_policy: str, controller=ChannelController):
+    mc = controller(
         DDR4_3200, DDR4_GEOMETRY, keep_cmd_log=True,
         page_policy=page_policy,
     )
@@ -48,13 +50,15 @@ def _run(schedule, page_policy: str):
 
 @pytest.mark.parametrize("page_policy", ["open", "closed"])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
+def test_cache_off_is_byte_identical(seed, page_policy):
     schedule = _schedule(seed)
     cached_mc, cached_done, cached_finish = _run(schedule, page_policy)
-
-    monkeypatch.setenv(NO_EVENT_CACHE_ENV, "1")
-    plain_mc, plain_done, plain_finish = _run(schedule, page_policy)
-    assert plain_mc._cache_enabled is False  # the switch actually took
+    plain_mc, plain_done, plain_finish = _run(
+        schedule, page_policy, OracleController
+    )
+    # The oracle really bypassed the per-bank memo.
+    assert cached_mc.cand_bank_hits > 0
+    assert plain_mc.cand_bank_hits + plain_mc.cand_bank_misses == 0
 
     # The full command log — (cycle, command, rank, group, bank, row) —
     # must match entry for entry, and so must every data-bus burst.
@@ -76,7 +80,6 @@ def test_cache_off_is_byte_identical(seed, page_policy, monkeypatch):
 def test_cache_is_actually_exercised():
     """Guard against the memos silently never hitting (dead cache)."""
     mc = ChannelController(DDR4_3200, DDR4_GEOMETRY)
-    assert mc._cache_enabled is True
     for line in (0, 1, 256, 257):  # two row hits in each of two banks
         mc.enqueue(make_request(line), 0)
     now = 0

@@ -12,8 +12,8 @@ holds the three readers to independent references:
 
 * ``earliest_issue`` and ``column_ready_within`` to the raw per-scope
   registers combined by the pre-fold formula, kept here;
-* ``_schedule_query`` to ``FRFCFSScheduler.pick``/``next_wakeup`` over
-  the full-scan ``FRFCFSScheduler.candidates``.
+* ``_schedule_query`` to the full-scan FR-FCFS oracle
+  (:func:`tests.event_oracle.full_scan`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.dram import (
     AddressMapper,
     CommandType,
 )
+from tests.event_oracle import full_scan
 
 ACT, PRE = CommandType.ACTIVATE, CommandType.PRECHARGE
 RD, WR = CommandType.READ, CommandType.WRITE
@@ -48,7 +49,7 @@ def reference_earliest(ch, cmd, rank, group, bank, now):
     b = ch.banks[rank][group][bank]
     r = ch.ranks[rank]
     if cmd is ACT:
-        earliest = max(now, b.next_act, r.next_act, r.group_next_act[group])
+        earliest = max(now, b.next_act, r.group_next_act[group])
         if len(r.act_history) >= 4:
             earliest = max(earliest, r.act_history[-4] + t.FAW)
         return earliest
@@ -56,7 +57,7 @@ def reference_earliest(ch, cmd, rank, group, bank, now):
         return max(now, b.next_pre)
     is_write = cmd is WR
     if is_write:
-        earliest = max(now, b.next_wr, r.next_wr, r.group_next_wr[group])
+        earliest = max(now, b.next_wr, r.group_next_wr[group])
     else:
         earliest = max(now, b.next_rd, r.next_rd, r.group_next_rd[group])
     latency = ch._data_latency(is_write)
@@ -106,10 +107,7 @@ def check_state(mc, now, probe):
 
     # The fused pass first (it commits any pending drain flip), then
     # the full-scan oracle over the same state.
-    pick, wake = mc._schedule_query(now)
-    cands = mc._candidates(now)
-    assert pick == mc.scheduler.pick(cands, now)
-    assert wake == mc.scheduler.next_wakeup(cands)
+    assert mc._schedule_query(now) == full_scan(mc, now)
 
     window, include_prefetches, reads_only, exclude_at = probe
     queued = list(mc.read_queue) + list(mc.write_queue)

@@ -2,7 +2,8 @@
 
 A channel is "pending" when it has queued work *or* a burst's data tail
 is still streaming on its bus (the denominator of Figure 5's pending
-fraction).  Both simulator drivers charge jumps through
+fraction).  The event driver and the lockstep oracle
+(``tests/event_oracle.py``) both charge jumps through
 :func:`repro.system.simulator.accrue_pending_cycles`; these tests pin
 its semantics across multi-cycle jumps — in particular the clipped
 bus-tail case the event heap's long skips exercise — and its

@@ -1,6 +1,6 @@
-"""The registry boundary holds: nothing outside repro.coding touches
-the legacy BURST_FORMATS/_SCHEMES views (see tools/lint_boundaries.py,
-which CI runs as a standalone step)."""
+"""The registry boundary holds: nothing outside repro.coding may bring
+back the retired BURST_FORMATS/_SCHEMES views (see
+tools/lint_boundaries.py, which CI runs as a standalone step)."""
 
 import importlib.util
 import sys
@@ -107,12 +107,12 @@ class TestEventCoreBoundaries:
         lint = _load_linter()
         bad = (
             "mc = build()\n"
-            "cands = mc._candidates(now)\n"
+            "req = mc._derive_bank_candidate(bucket, row)\n"
             "pick, wake = mc._schedule_query(now)\n"
         )
         problems = lint.check_source(bad, "fake.py")
         assert len(problems) == 2
-        assert "_candidates" in problems[0]
+        assert "_derive_bank_candidate" in problems[0]
         assert "_schedule_query" in problems[1]
 
     def test_controller_package_is_exempt(self):

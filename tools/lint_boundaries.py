@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Boundary lint: the coding registry is the only sanctioned surface.
 
-``BURST_FORMATS`` and ``_SCHEMES`` are backward-compatibility views kept
-inside ``repro.coding``; modules elsewhere in the package must go
-through :mod:`repro.coding.registry` (``scheme_info``, ``real_schemes``,
-...) so that scheme knowledge cannot fragment again.  This linter walks
+``BURST_FORMATS`` and ``_SCHEMES`` were dict-shaped views of scheme
+knowledge; they are gone, and modules in the package must go through
+:mod:`repro.coding.registry` (``scheme_info``, ``real_schemes``, ...)
+so that scheme knowledge cannot fragment again.  This linter walks
 every module under ``src/repro`` outside ``repro/coding`` and flags:
 
 * ``from ...coding.pipeline import BURST_FORMATS`` (any coding module,
-  any of the legacy names),
-* attribute access spelling one of the legacy names on an imported
+  any of the retired names), so the views cannot creep back,
+* attribute access spelling one of the retired names on an imported
   module (``pipeline.BURST_FORMATS``), and
 * importing a concrete *registered* codec class (``DBICode``,
   ``MiLCCode``, ...) from any coding module — consumers must resolve
@@ -31,8 +31,7 @@ DESIGN.md, "Event core"):
 * ``repro.system.events`` (the cross-channel ``EventQueue``) is
   internal to ``repro.system`` — no module outside that package may
   import it, by any spelling;
-* the controller's scheduling internals (``_candidates``,
-  ``_assemble_candidates``, ``_schedule_query``,
+* the controller's scheduling internals (``_schedule_query``,
   ``_derive_bank_candidate``, ``_bank_memo_rd``, ``_bank_memo_wr``)
   are internal to ``repro.controller`` — outside it, only the public
   ``step`` / ``next_event`` / ``sync`` surface exists.
@@ -65,12 +64,10 @@ CODEC_CLASS_NAMES = frozenset({
     "ReferenceKLWC",
 })
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
-EXEMPT = "coding"  # the package that owns (and may use) the legacy views
+EXEMPT = "coding"  # the package that owns scheme knowledge
 # Controller scheduling internals: the incremental candidate cache and
 # the fused (pick, wake) query.  Only repro.controller may touch them.
 CONTROLLER_INTERNALS = frozenset({
-    "_candidates",
-    "_assemble_candidates",
     "_schedule_query",
     "_derive_bank_candidate",
     "_bank_memo_rd",
