@@ -16,6 +16,7 @@ All three are derived from the data-bus transaction log:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..dram.channel import BusTransaction
 from ..dram.timing import TimingParams
@@ -51,15 +52,23 @@ def _bucket_of(value: int) -> int:
     return lower
 
 
+_START = attrgetter("start")
+
+# Label of every value below the last edge; the rest share _TOP_LABEL.
+_LABELS = tuple(bucket_label(_bucket_of(v)) for v in range(GAP_BUCKETS[-1]))
+_TOP_LABEL = bucket_label(GAP_BUCKETS[-1])
+
+
 def idle_gap_histogram(
     transactions: list[BusTransaction],
 ) -> dict[str, int]:
     """Figure 4: distribution of idle cycles between successive bursts."""
     hist = {bucket_label(b): 0 for b in GAP_BUCKETS}
-    ordered = sorted(transactions, key=lambda tr: tr.start)
+    labels, top = _LABELS, len(_LABELS)
+    ordered = sorted(transactions, key=_START)
     for prev, cur in zip(ordered, ordered[1:]):
         gap = max(0, cur.start - prev.end)
-        hist[bucket_label(_bucket_of(gap))] += 1
+        hist[labels[gap] if gap < top else _TOP_LABEL] += 1
     return hist
 
 
@@ -75,12 +84,13 @@ def slack_histogram(
     notes such turnaround-limited gaps cannot be exploited).
     """
     hist = {bucket_label(b): 0 for b in GAP_BUCKETS}
-    ordered = sorted(transactions, key=lambda tr: tr.start)
+    labels, top = _LABELS, len(_LABELS)
+    ordered = sorted(transactions, key=_START)
     for prev, cur in zip(ordered, ordered[1:]):
         gap = max(0, cur.start - prev.end)
         switch = prev.rank != cur.rank or prev.is_write != cur.is_write
         slack = max(0, gap - timing.RTRS) if switch else gap
-        hist[bucket_label(_bucket_of(slack))] += 1
+        hist[labels[slack] if slack < top else _TOP_LABEL] += 1
     return hist
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..dram.channel import BusAuditor, BusTransaction
@@ -31,7 +30,7 @@ __all__ = [
     "audit_dump",
 ]
 
-_FIELDS = [f.name for f in fields(BusTransaction)]
+_FIELDS = list(BusTransaction._fields)
 _INT_FIELDS = {
     "start", "end", "issue_cycle", "rank", "bank_group", "bank",
     "request_id",
@@ -47,7 +46,7 @@ def dump_transactions_csv(
         writer = csv.DictWriter(handle, fieldnames=_FIELDS)
         writer.writeheader()
         for tr in transactions:
-            writer.writerow(asdict(tr))
+            writer.writerow(tr._asdict())
     return len(transactions)
 
 
@@ -67,7 +66,7 @@ def dump_transactions_jsonl(
     path = Path(path)
     with path.open("w") as handle:
         for tr in transactions:
-            handle.write(json.dumps(asdict(tr)) + "\n")
+            handle.write(json.dumps(tr._asdict()) + "\n")
     return len(transactions)
 
 

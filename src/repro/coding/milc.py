@@ -36,6 +36,8 @@ candidate, so perfectly correlated data transmits (almost) no 0s at all.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .base import CodingScheme
@@ -87,6 +89,52 @@ def _zeros_for_choice(zeros: np.ndarray, choice: np.ndarray) -> np.ndarray:
     # (zeros = ones + 1 including the now-0 flag), whichever is sparser.
     xor_zeros = np.minimum(7 - tail_ones, tail_ones + 1)
     return body_zeros + inv_zeros + xor_zeros
+
+
+# Packing of a pair-table entry: the row's transmitted zeros (body plus
+# inv bit, at most 9) in the low bits, the xor flag above them.  Seven
+# entries sum to at most 63 zeros, so the flag count starts at bit 6.
+_FLAG_SHIFT = 6
+_ZEROS_MASK = (1 << _FLAG_SHIFT) - 1
+
+
+@cache
+def _zero_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row tables behind :meth:`MiLCCode.count_zeros_bytes`.
+
+    Returns ``(pair, row0, xorbi)``:
+
+    * ``pair[(prev << 8) | row]`` — for rows 1..7, the zeros the chosen
+      candidate transmits (body plus inv bit), packed with whether an
+      xor candidate won (``flag << _FLAG_SHIFT``);
+    * ``row0[row]`` — the same zeros for row 0, whose choice is limited
+      to original/inverted;
+    * ``xorbi[t]`` — the xor column's zeros when ``t`` of rows 1..7 chose
+      an xor candidate (the xorbi flag inverts whichever way is sparser).
+
+    Built once from the same ``_candidate_zeros``/``_choose_candidates``
+    the block kernels use, so ties resolve identically: each pair sits
+    in the unrestricted row slot of a two-row block whose row 0 is the
+    pair's own row.
+    """
+    values = np.arange(256, dtype=np.uint8)
+    prev = np.repeat(values, 256)
+    row = np.tile(values, 256)
+    ones = popcount_per_byte(row).astype(np.int64)
+    xor_ones = popcount_per_byte(row ^ prev).astype(np.int64)
+    pair_zeros = _candidate_zeros(ones, xor_ones)  # (65536, 4)
+    zeros = np.stack([pair_zeros, pair_zeros], axis=1)  # (65536, 2, 4)
+    choice = _choose_candidates(zeros)  # (65536, 2); slot 0 is row 0
+    chosen = np.take_along_axis(zeros, choice[..., None], axis=-1)[..., 0]
+    sent = chosen + (1 - choice % 2)  # body zeros plus the inv bit
+    pair = sent[:, 1] + ((choice[:, 1] >= 2).astype(np.int64) << _FLAG_SHIFT)
+    row0 = sent[:256, 0]  # prev == 0 for the first 256 entries
+    tail_ones = np.arange(8, dtype=np.int64)
+    xorbi = np.minimum(7 - tail_ones, tail_ones + 1)
+    tables = (pair.astype(np.uint16), row0.astype(np.int64), xorbi)
+    for table in tables:
+        table.setflags(write=False)  # shared by every caller
+    return tables
 
 
 @register_codec(
@@ -198,22 +246,21 @@ class MiLCCode(CodingScheme):
         """Zero count from uint8 bytes of shape ``(..., k*8)``.
 
         Each consecutive group of eight bytes forms one 64-bit block
-        whose rows are exactly the bytes, so the whole cost model runs
-        in the byte domain: per-byte popcounts of the rows and of
-        ``row ^ prev_row`` feed the candidate costs directly — no
-        ``unpackbits``, no candidate bodies.
+        whose rows are exactly the bytes, so the cost model reduces to
+        table lookups: one per (previous row, row) pair for rows 1..7,
+        one for row 0, and one per block for the xorbi column (see
+        :func:`_zero_tables`) — no per-candidate temporaries.
         """
         data = np.asarray(data, dtype=np.uint8)
         if data.shape[-1] % 8 != 0:
             raise ValueError("MiLC operates on whole 8-byte blocks")
         rows = data.reshape(data.shape[:-1] + (-1, 8))  # byte == row
-
-        prev = np.empty_like(rows)
-        prev[..., 1:] = rows[..., :-1]
-        prev[..., 0] = 0
-
-        ones = popcount_per_byte(rows).astype(np.int64)
-        xor_ones = popcount_per_byte(rows ^ prev).astype(np.int64)
-        zeros = _candidate_zeros(ones, xor_ones)
-        per_block = _zeros_for_choice(zeros, _choose_candidates(zeros))
+        pair, row0, xorbi = _zero_tables()
+        index = rows[..., :-1].astype(np.uint16) << 8
+        index |= rows[..., 1:]
+        packed = pair[index].sum(axis=-1, dtype=np.int64)
+        per_block = (
+            (packed & _ZEROS_MASK) + row0[rows[..., 0]]
+            + xorbi[packed >> _FLAG_SHIFT]
+        )
         return per_block.sum(axis=-1)

@@ -42,6 +42,20 @@ __all__ = ["AlwaysScheme", "CandidateCommand", "ChannelController"]
 # Larger than any simulated cycle: the running minimum's start value.
 _NEVER = 1 << 62
 
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_READ = CommandType.READ
+_WRITE = CommandType.WRITE
+_REFRESH = CommandType.REFRESH
+
+# FR-FCFS keys, one int per scheduling record: a column command's
+# (arrival, serial) sorts before every ACTIVATE's queue_seq, which sorts
+# before every PRECHARGE's.
+_COL_SHIFT = 64
+_ACT_KEY = 1 << 128
+_PRE_KEY = 2 << 128
+_NEVER_KEY = 3 << 128
+
 
 @dataclass(slots=True)
 class CandidateCommand:
@@ -110,8 +124,14 @@ class ChannelController:
         )
         self.read_queue = TransactionQueue(read_queue_size)
         self.write_queue = TransactionQueue(write_queue_size)
+        # The queues' live per-bank views (read-only here).
+        self._buckets_rd = self.read_queue.bank_buckets()
+        self._buckets_wr = self.write_queue.bank_buckets()
         self.drain = WriteDrainPolicy(drain_high, drain_low, write_queue_size)
         self.draining_now = False
+        # False once a queue length changed since the hysteresis was
+        # last sampled (see _sync_drain).
+        self._drain_synced = False
 
         # Telemetry probe shared with the channel and the policy; None
         # (the default) leaves the fast path uninstrumented.
@@ -127,28 +147,36 @@ class ChannelController:
         # the per-event paths read an attribute instead of two lengths.
         self.has_pending = False
 
-        # Scheduling memos.  Candidates are derived *incrementally*:
-        # each bank contributes exactly one candidate (oldest row hit,
-        # else ACT for the bucket head, else PRE).  For an open bank
-        # the row-hit search is memoised against the queue's bucket
-        # version and the bank's open row, so an enqueue or issue only
-        # re-derives the banks it touched.
+        # Scheduling records (see _schedule_query).  Each bank with
+        # queued requests contributes exactly one candidate (oldest row
+        # hit, else ACT for the bucket head, else PRE), kept as a
+        # record per queue direction: bank key (rank, group, bank) ->
+        # (bank register, bound slot, FR-FCFS key, command fields).
+        # A record changes only when a request is enqueued into its
+        # bank or a command issues to it (a REFRESH: to any bank of
+        # its rank); those events mark the bank dirty in the direction
+        # sets, and a pass re-derives only the dirty banks.
         self._state_version = 0
-        # Per-bank row-hit memos, one per queue direction, keyed by the
-        # bucket key (rank, group, bank) ->
-        # (bucket_version, open_row, oldest hit or None for PRECHARGE).
-        self._bank_memo_rd: dict = {}
-        self._bank_memo_wr: dict = {}
+        self._records_rd: dict = {}
+        self._records_wr: dict = {}
+        self._dirty_rd: set = set()
+        self._dirty_wr: set = set()
+        # The column-command records of each direction (the banks with
+        # row hits): all that MiL's rdyX count reads.
+        self._hit_records_rd: dict = {}
+        self._hit_records_wr: dict = {}
+        # Records reused and records re-derived, over all passes.
         self.cand_bank_hits = 0
         self.cand_bank_misses = 0
         # Fused schedule query memo: (pick, wake) for one (state
-        # version, cycle) pair — the hot path computes both in a single
-        # pass over the bank buckets without materialising a candidate
-        # list (see _schedule_query).
+        # version, cycle) pair.  When the pass found no pick,
+        # ``_sched_at_min`` holds the command fields of the best
+        # candidate at the wake: the argmin memo (see _schedule_query).
         self._sched_version = -1
         self._sched_now = -1
         self._sched_pick = None
         self._sched_wake: int | None = None
+        self._sched_at_min = None
         # Wake cache: nothing can happen before this absolute cycle
         # unless the state version changes (new request, command issued).
         self._wake_version = -1
@@ -208,10 +236,13 @@ class ChannelController:
         self._state_version += 1
         if self._probe is not None:
             self._probe.enqueue(len(self.read_queue), len(self.write_queue))
+        m = request.mapped
         if request.is_write:
-            took_slot = self.write_queue.push(request, coalesce=True)
-            if not took_slot:
+            if self.write_queue.push(request, coalesce=True):
+                self._drain_synced = False
+            else:
                 self.coalesced_writes += 1
+            self._dirty_wr.add((m.rank, m.bank_group, m.bank))
             self.has_pending = True
             return
         hit = self.write_queue.find(request.address)
@@ -223,6 +254,8 @@ class ChannelController:
             self.completed.append(request)
             return
         self.read_queue.push(request)
+        self._drain_synced = False
+        self._dirty_rd.add((m.rank, m.bank_group, m.bank))
         self.has_pending = True
 
     def drain_completions(self) -> list[MemoryRequest]:
@@ -255,33 +288,38 @@ class ChannelController:
         """
         count = 0
         horizon = now + window
-        ch = self.channel
-        banks = ch.banks
-        scans = [(self.read_queue, False, ch.fold_rd, ch.bus_rd)]
-        if self.draining_now and not reads_only:
-            scans.append((self.write_queue, True, ch.fold_wr, ch.bus_wr))
-        for queue, is_write, fold, bus in scans:
-            for (rank, group, bank), bucket in queue.bank_buckets().items():
-                bstate = banks[rank][group][bank]
-                open_row = bstate.open_row
-                if open_row is None:
-                    continue
-                # All hits in one bank share the same command timing:
-                # ready when the bank register, the folded register and
-                # the bus bound all fall within the window.
-                earliest = bstate.next_wr if is_write else bstate.next_rd
-                if (
-                    earliest > horizon
-                    or fold[rank][group] > horizon
-                    or bus[rank] > horizon
-                ):
-                    continue
-                for req in bucket:
-                    if req.mapped.row != open_row or req is exclude:
-                        continue
-                    if req.is_prefetch and not include_prefetches:
-                        continue
-                    count += 1
+        bounds = self.channel.bounds
+        scans = (False, True) if self.draining_now and not reads_only else (
+            False,
+        )
+        for is_write in scans:
+            self._fresh_records(is_write)
+            hit_records = (
+                self._hit_records_wr if is_write else self._hit_records_rd
+            )
+            # All hits in one bank share the same command timing: the
+            # bank's record is a column command exactly when the bank
+            # is open with hits, and they are ready when the record is.
+            for earliest, slot, _, fields in hit_records.values():
+                if earliest <= horizon and bounds[slot] <= horizon:
+                    count += fields[6] if include_prefetches else fields[7]
+            if exclude is None or exclude.is_write != is_write:
+                continue
+            m = exclude.mapped
+            key = (m.rank, m.bank_group, m.bank)
+            record = hit_records.get(key)
+            if (
+                record is not None
+                and record[3][4] == m.row
+                and (include_prefetches or not exclude.is_prefetch)
+                and record[0] <= horizon
+                and bounds[record[1]] <= horizon
+            ):
+                # Counted above, if it is queued: it is when it is the
+                # bank's oldest hit (the pick being issued), else look.
+                buckets = self._buckets_wr if is_write else self._buckets_rd
+                if record[3][5] is exclude or exclude in buckets[key]:
+                    count -= 1
         return count
 
     def _row_has_more_hits(self, request: MemoryRequest) -> bool:
@@ -359,10 +397,10 @@ class ChannelController:
     def _sync_drain(self, now: int) -> None:
         """Advance the write-drain hysteresis from current queue depths.
 
-        Idempotent for fixed queue lengths, so it only needs to run
-        when the state version moved (every push/pop changes a length
-        and bumps the version).
+        Idempotent for fixed queue lengths, so a pass calls it only
+        when a length changed since the last call (``_drain_synced``).
         """
+        self._drain_synced = True
         draining = self.drain.update(
             len(self.write_queue), len(self.read_queue)
         )
@@ -372,154 +410,171 @@ class ChannelController:
             if self._probe is not None:
                 self._probe.drain_transition(now, draining)
 
-    def _derive_bank_candidate(self, bucket: list, open_row: int):
-        """Oldest queued request hitting ``open_row``, or None.
+    def _derive_bank_candidate(self, key: tuple, bucket: list,
+                               is_write: bool) -> tuple:
+        """The record of one bank with queued requests, in one direction.
 
-        Oldest by the FR-FCFS (arrival, serial) key.  None means the
-        open row is wanted by nobody in the bucket: the bank's
-        candidate is a PRECHARGE.
+        ``(bank register, bound slot, FR-FCFS key, command fields)``:
+        the candidate's earliest cycle is max(register,
+        ``channel.bounds[slot]``), and among ready candidates the
+        smallest key wins.  The candidate is a column command for the
+        oldest row hit (oldest by (arrival, serial)), else an ACTIVATE
+        for the bucket head when the bank is closed, else a PRECHARGE
+        (the open row is wanted by nobody in the bucket).  The command
+        fields are (cmd, rank, group, bank, row, request, row hits,
+        demand row hits); the hit counts, which ``column_ready_within``
+        reads, are zero unless the candidate is a column command.
         """
+        rank, group, bank = key
+        ch = self.channel
+        bstate = ch.banks[rank][group][bank]
+        open_row = bstate.open_row
+        pair = rank * self.geometry.bank_groups + group
+        if open_row is None:
+            head = bucket[0]
+            return (
+                bstate.next_act, ch.act_slot0 + pair,
+                _ACT_KEY | head.queue_seq,
+                (_ACTIVATE, rank, group, bank, head.mapped.row, head, 0, 0),
+            )
         best = None
+        best_key = _NEVER_KEY
+        hits = demand_hits = 0
         for req in bucket:
-            if req.mapped.row == open_row and (
-                best is None
-                or (req.arrival, req.serial) < (best.arrival, best.serial)
-            ):
-                best = req
-        return best
+            if req.mapped.row == open_row:
+                hits += 1
+                if not req.is_prefetch:
+                    demand_hits += 1
+                col_key = (req.arrival << _COL_SHIFT) | req.serial
+                if col_key < best_key:
+                    best = req
+                    best_key = col_key
+        if best is None:
+            return (
+                bstate.next_pre, ch.pre_slot,
+                _PRE_KEY | bucket[0].queue_seq,
+                (_PRECHARGE, rank, group, bank, open_row, None, 0, 0),
+            )
+        if is_write:
+            return (
+                bstate.next_wr, ch.write_slot0 + pair, best_key,
+                (_WRITE, rank, group, bank, open_row, best, hits,
+                 demand_hits),
+            )
+        return (
+            bstate.next_rd, pair, best_key,
+            (_READ, rank, group, bank, open_row, best, hits, demand_hits),
+        )
+
+    def _fresh_records(self, is_write: bool) -> dict:
+        """One direction's records, with its dirty banks re-derived."""
+        if is_write:
+            records, dirty = self._records_wr, self._dirty_wr
+        else:
+            records, dirty = self._records_rd, self._dirty_rd
+        if dirty:
+            if is_write:
+                buckets, hit_records = self._buckets_wr, self._hit_records_wr
+            else:
+                buckets, hit_records = self._buckets_rd, self._hit_records_rd
+            derive = self._derive_bank_candidate
+            derived = 0
+            for key in dirty:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    records.pop(key, None)
+                    hit_records.pop(key, None)
+                    continue
+                record = records[key] = derive(key, bucket, is_write)
+                if record[3][6]:
+                    hit_records[key] = record
+                else:
+                    hit_records.pop(key, None)
+                derived += 1
+            dirty.clear()
+            self.cand_bank_misses += derived
+        return records
 
     def _schedule_query(self, now: int):
-        """Fused ``(pick, wake)`` for cycle ``now`` in one bucket pass.
+        """Fused ``(pick, wake)`` for cycle ``now``.
 
-        Each bank with queued requests contributes one candidate: a
-        column command for its oldest row hit, else an ACTIVATE for
-        its bucket head when the bank is closed, else a PRECHARGE.  The
-        pass tracks the oldest ready column (FR-FCFS (arrival, serial)
-        order), the first-queued ready ACTIVATE, the first-queued ready
-        PRECHARGE, and the minimum earliest over all per-bank
-        candidates, without building a candidate list.  ``pick`` is the
-        winner issueable at ``now`` (or None); ``wake`` is the earliest
-        cycle any candidate becomes issueable (None when the active
-        queue is empty).  Each candidate's earliest cycle
-        is max(bank register, the channel's folded rank/group register,
-        the channel's bus bound) — the same answer as
-        ``DRAMChannel.earliest_issue``, read off the registers the
-        channel keeps.  Memoised per (state version, cycle) so ``step``
-        and ``next_event`` at the same cycle share one pass.
+        ``pick`` is the FR-FCFS winner issueable at ``now`` (or None):
+        the oldest ready column command by (arrival, serial), else the
+        first-queued ready ACTIVATE, else the first-queued ready
+        PRECHARGE.  ``wake`` is the earliest cycle any candidate
+        becomes issueable, floored at ``now`` (None when the active
+        queue is empty).
+
+        A pass first re-derives the records of the banks dirtied in
+        the active direction since it was last scheduled, then folds
+        every record in one loop: earliest = max(register,
+        ``channel.bounds[slot]``) — the same answer as
+        ``DRAMChannel.earliest_issue`` — tracking the best ready key,
+        and, among candidates not yet ready, the minimum earliest and
+        the best key at it.
+
+        Memoised per state version: at the pass's own cycle the memo
+        answers outright.  When the pass found no pick, every
+        candidate's earliest lies after the pass cycle, so at any
+        earlier cycle of the same version there is still no pick, and
+        at the wake exactly the candidates at the minimum are ready:
+        the best of them is the pick (the argmin memo).
         """
-        if (
-            self._sched_version == self._state_version
-            and self._sched_now == now
-        ):
-            return self._sched_pick, self._sched_wake
-        self._sync_drain(now)
-        is_write_q = self.draining_now
-        queue = self.write_queue if is_write_q else self.read_queue
-        buckets = queue.bank_buckets()
+        if self._sched_version == self._state_version:
+            if self._sched_now == now:
+                return self._sched_pick, self._sched_wake
+            wake = self._sched_wake
+            if self._sched_pick is None:
+                if wake is None or now < wake:
+                    return None, wake
+                if now == wake:
+                    f = self._sched_at_min
+                    pick = CandidateCommand(
+                        f[0], f[1], f[2], f[3], f[4], now, f[5]
+                    )
+                    self._sched_now = now
+                    self._sched_pick = pick
+                    return pick, wake
+        if not self._drain_synced:
+            self._sync_drain(now)
+        misses = self.cand_bank_misses
+        records = self._fresh_records(self.draining_now)
         pick = None
         wake: int | None = None
-        if buckets:
-            ch = self.channel
-            banks = ch.banks
-            fold_act = ch.fold_act
-            if is_write_q:
-                col_cmd, col_fold, col_bus = (
-                    CommandType.WRITE, ch.fold_wr, ch.bus_wr
-                )
-                memo = self._bank_memo_wr
-            else:
-                col_cmd, col_fold, col_bus = (
-                    CommandType.READ, ch.fold_rd, ch.bus_rd
-                )
-                memo = self._bank_memo_rd
-            versions = queue.bank_versions()
-            derive = self._derive_bank_candidate
-            best_col = best_col_key = None
-            best_act = best_act_seq = None
-            best_pre = best_pre_seq = None
-            hits = misses = 0
-            wake = _NEVER
-            # Unrolled max() below: this loop runs per bank per pass.
-            for key, bucket in buckets.items():
-                rank, group, bank = key
-                bstate = banks[rank][group][bank]
-                open_row = bstate.open_row
-                if open_row is None:
-                    # ACTIVATE on behalf of the bucket head.
-                    earliest = bstate.next_act
-                    bound = fold_act[rank][group]
-                    if bound > earliest:
-                        earliest = bound
-                    if earliest <= now and best_col is None:
-                        head = bucket[0]
-                        seq = head.queue_seq
-                        if best_act is None or seq < best_act_seq:
-                            best_act = (
-                                CommandType.ACTIVATE, rank, group, bank,
-                                head.mapped.row, head,
-                            )
-                            best_act_seq = seq
-                    if earliest < wake:
-                        wake = earliest
-                    continue
-                cached = memo.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == versions[key]
-                    and cached[1] == open_row
-                ):
-                    req = cached[2]
-                    hits += 1
-                else:
-                    req = derive(bucket, open_row)
-                    memo[key] = (versions[key], open_row, req)
-                    misses += 1
-                if req is not None:
-                    # Column command for the oldest row hit.
-                    earliest = bstate.next_wr if is_write_q else bstate.next_rd
-                    bound = col_fold[rank][group]
-                    if bound > earliest:
-                        earliest = bound
-                    bound = col_bus[rank]
-                    if bound > earliest:
-                        earliest = bound
-                    if earliest <= now:
-                        col_key = (req.arrival, req.serial)
-                        if best_col is None or col_key < best_col_key:
-                            best_col = (
-                                col_cmd, rank, group, bank, open_row, req,
-                            )
-                            best_col_key = col_key
-                else:
-                    # PRECHARGE; its only constraint is the bank register.
-                    earliest = bstate.next_pre
-                    if (
-                        earliest <= now
-                        and best_col is None
-                        and best_act is None
-                    ):
-                        seq = bucket[0].queue_seq
-                        if best_pre is None or seq < best_pre_seq:
-                            best_pre = (
-                                CommandType.PRECHARGE, rank, group, bank,
-                                open_row, None,
-                            )
-                            best_pre_seq = seq
-                if earliest < wake:
-                    wake = earliest
-            # Every candidate's earliest is floored at ``now``; flooring
-            # the minimum once is the same thing.
-            if wake < now:
-                wake = now
-            self.cand_bank_hits += hits
-            self.cand_bank_misses += misses
-            won = best_col if best_col is not None else (
-                best_act if best_act is not None else best_pre
+        if records:
+            self.cand_bank_hits += len(records) - (
+                self.cand_bank_misses - misses
             )
-            if won is not None:
+            bounds = self.channel.bounds
+            ready = at_min = None
+            ready_key = min_key = _NEVER_KEY
+            wake = _NEVER
+            for record in records.values():
+                earliest = record[0]
+                if earliest > wake:
+                    continue  # neither ready nor a new minimum
+                bound = bounds[record[1]]
+                if bound > earliest:
+                    earliest = bound
+                if earliest <= now:
+                    key = record[2]
+                    if key < ready_key:
+                        ready_key = key
+                        ready = record[3]
+                elif earliest <= wake:
+                    key = record[2]
+                    if earliest < wake or key < min_key:
+                        wake = earliest
+                        min_key = key
+                        at_min = record[3]
+            if ready is not None:
                 pick = CandidateCommand(
-                    won[0], won[1], won[2], won[3], won[4], now, won[5]
+                    ready[0], ready[1], ready[2], ready[3], ready[4], now,
+                    ready[5],
                 )
+                wake = now
+            else:
+                self._sched_at_min = at_min
         self._sched_version = self._state_version
         self._sched_now = now
         self._sched_pick = pick
@@ -533,8 +588,29 @@ class ChannelController:
         :meth:`step` calls this before scheduling, so :meth:`next_event`
         can stay a pure query (see the purity contract in DESIGN.md).
         """
-        if self.refresh is not None:
-            self.refresh.accrue(now)
+        refresh = self.refresh
+        if refresh is not None and now >= refresh.next_accrual:
+            refresh.accrue(now)
+
+    def _issue_refresh_action(self, cmd, rank, group, bank, now) -> None:
+        """Issue a refresh-path PRECHARGE or REFRESH at ``now``."""
+        self.channel.issue(cmd, rank, group, bank, now)
+        if cmd is _REFRESH:
+            self.refresh.paid(rank)
+            geo = self.geometry
+            keys = [
+                (rank, g, b)
+                for g in range(geo.bank_groups)
+                for b in range(geo.banks_per_group)
+            ]
+            self._dirty_rd.update(keys)
+            self._dirty_wr.update(keys)
+        else:
+            key = (rank, group, bank)
+            self._dirty_rd.add(key)
+            self._dirty_wr.add(key)
+        self._state_version += 1
+        self.next_cmd_cycle = now + 1
 
     def step(self, now: int) -> bool:
         """Issue at most one command at cycle ``now``; True if issued."""
@@ -552,28 +628,26 @@ class ChannelController:
             cmd, rank, group, bank, earliest = self._urgent_refresh_action(now)
             if earliest > now:
                 return False
-            self.channel.issue(cmd, rank, group, bank, now)
-            if cmd is CommandType.REFRESH:
-                self.refresh.paid(rank)
-            self._state_version += 1
-            self.next_cmd_cycle = now + 1
+            self._issue_refresh_action(cmd, rank, group, bank, now)
             return True
 
         pick, _ = self._schedule_query(now)
         if pick is None:
+            if self.has_pending:
+                return False  # no idle refresh while requests wait
             action = self._idle_refresh_action(now)
             if action is not None:
                 cmd, rank, group, bank, earliest = action
                 if earliest <= now:
-                    self.channel.issue(cmd, rank, group, bank, now)
-                    if cmd is CommandType.REFRESH:
-                        self.refresh.paid(rank)
-                    self._state_version += 1
-                    self.next_cmd_cycle = now + 1
+                    self._issue_refresh_action(cmd, rank, group, bank, now)
                     return True
             return False
 
-        if pick.cmd.is_column:
+        cmd = pick.cmd
+        rank = pick.rank
+        group = pick.group
+        bank = pick.bank
+        if cmd is _READ or cmd is _WRITE:
             req = pick.request
             scheme = self.policy.choose(self, req, now)
             fmt = scheme_info(scheme)
@@ -582,7 +656,7 @@ class ChannelController:
                 and not self._row_has_more_hits(req)
             )
             data_end = self.channel.issue(
-                pick.cmd, pick.rank, pick.group, pick.bank, now,
+                cmd, rank, group, bank, now,
                 bus_cycles=fmt.bus_cycles, scheme=scheme,
                 request_id=req.line_id, auto_precharge=auto_pre,
             )
@@ -591,15 +665,17 @@ class ChannelController:
             req.scheme = scheme
             queue = self.write_queue if req.is_write else self.read_queue
             queue.remove(req)
+            self._drain_synced = False
             self.has_pending = (
                 len(self.read_queue) > 0 or len(self.write_queue) > 0
             )
             self.completed.append(req)
             self.scheme_counts[scheme] = self.scheme_counts.get(scheme, 0) + 1
         else:
-            self.channel.issue(
-                pick.cmd, pick.rank, pick.group, pick.bank, now, row=pick.row
-            )
+            self.channel.issue(cmd, rank, group, bank, now, row=pick.row)
+        key = (rank, group, bank)
+        self._dirty_rd.add(key)
+        self._dirty_wr.add(key)
         self._state_version += 1
         self.next_cmd_cycle = now + 1
         return True
@@ -625,27 +701,24 @@ class ChannelController:
         ):
             return max(floor, self._wake_time)
 
-        times: list[int] = []
+        wake = None  # the minimum over everything that can wake us
         refresh = self.refresh
         if refresh is not None:
-            times.append(refresh.next_event())
+            wake = refresh.next_event()
             if refresh.overdue:
                 action = self._urgent_refresh_action(now)
             elif not self.has_pending:
                 action = self._idle_refresh_action(now)
             else:
                 action = None
-            if action is not None:
-                times.append(action[4])
+            if action is not None and action[4] < wake:
+                wake = action[4]
         if self.has_pending:
-            _, wake = self._schedule_query(now)
-            if wake is not None:
-                times.append(wake)
-        if not times:
-            self._wake_version = self._state_version
-            self._wake_time = None
-            return None
-        wake = min(times)
+            _, sched_wake = self._schedule_query(now)
+            if sched_wake is not None and (wake is None or sched_wake < wake):
+                wake = sched_wake
         self._wake_version = self._state_version
         self._wake_time = wake
+        if wake is None:
+            return None
         return max(floor, wake)

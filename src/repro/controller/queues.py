@@ -27,14 +27,9 @@ class TransactionQueue:
         self.capacity = capacity
         self._entries: list[MemoryRequest] = []
         self._by_address: dict[int, MemoryRequest] = {}
-        # Per-bank index for the controller's incremental candidate
-        # cache: (rank, bank_group, bank) -> queued requests in push
-        # order, plus a monotonically increasing version per key so a
-        # cached per-bank candidate can be validated in O(1).  Version
-        # entries are never deleted — a bucket that empties and later
-        # refills must not repeat an old version number.
+        # Per-bank index for the controller's scheduling records:
+        # (rank, bank_group, bank) -> queued requests in push order.
         self._by_bank: dict[tuple[int, int, int], list[MemoryRequest]] = {}
-        self._bank_version: dict[tuple[int, int, int], int] = {}
         self._seq = 0
 
     def __len__(self) -> int:
@@ -85,7 +80,6 @@ class TransactionQueue:
                 self._by_bank[key] = [request]
             else:
                 bucket.append(request)
-            self._bank_version[key] = self._bank_version.get(key, 0) + 1
         return True
 
     def remove(self, request: MemoryRequest) -> None:
@@ -101,7 +95,6 @@ class TransactionQueue:
                 bucket.remove(request)
                 if not bucket:
                     del self._by_bank[key]
-                self._bank_version[key] = self._bank_version.get(key, 0) + 1
 
     def bank_buckets(self) -> dict[tuple[int, int, int], list[MemoryRequest]]:
         """Live per-bank view: (rank, group, bank) -> requests, push order.
@@ -111,18 +104,6 @@ class TransactionQueue:
         read-only.
         """
         return self._by_bank
-
-    def bank_version(self, key: tuple[int, int, int]) -> int:
-        """Monotonic change counter for one bank's bucket."""
-        return self._bank_version.get(key, 0)
-
-    def bank_versions(self) -> dict[tuple[int, int, int], int]:
-        """Live version map behind :meth:`bank_version` (read-only).
-
-        Every key present in :meth:`bank_buckets` is present here (the
-        first push creates it), so hot loops may index directly.
-        """
-        return self._bank_version
 
     def oldest_first(self) -> list[MemoryRequest]:
         """Entries in arrival order (the FCFS axis of FR-FCFS).

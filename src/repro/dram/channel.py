@@ -10,13 +10,15 @@ two questions:
   registers, the software dual of Figure 11's counters).
 
 Besides the raw per-scope registers, the channel keeps *folded* bounds
-that the scheduler reads directly: per (rank, bank group) and command
-(``fold_act``/``fold_rd``/``fold_wr``), the maximum of every rank- and
-group-scope register gating that command, and per rank (``bus_rd``/
-``bus_wr``) the issue cycle the shared data bus allows.  ``issue``
-refreshes them whenever a register they fold changes, so any ACTIVATE,
-READ or WRITE is legal from ``max(now, bank register, folded register
-[, bus bound])`` — the timing rules stay defined here, once.
+that the scheduler reads directly, in one flat list :attr:`bounds`:
+per (rank, bank group), the READ and the WRITE slot hold the maximum of
+every rank- and group-scope register gating that column command and of
+the issue cycle the shared data bus allows; the ACTIVATE slot folds
+tRRD and tFAW; one last slot is a constant floor for PRECHARGE, which
+only its bank register gates.  ``issue`` refreshes the slots whenever a
+register they fold changes, so any command but REFRESH is legal from
+``max(now, bank register, bounds[slot])`` — the timing rules stay
+defined here, once.
 
 Constraint scopes follow the DDR4 structure the paper leans on
 (Section 3.1): per-bank (tRCD/tRAS/tRC/tRTP/tWR/tRP), per-bank-group
@@ -42,6 +44,7 @@ Table 2 constraint set from (see ``docs/VALIDATION.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .commands import CommandType, Geometry
 from .timing import TimingParams
@@ -53,6 +56,18 @@ __all__ = [
     "DRAMChannel",
     "BusAuditor",
 ]
+
+_ACTIVATE = CommandType.ACTIVATE
+_PRECHARGE = CommandType.PRECHARGE
+_READ = CommandType.READ
+_WRITE = CommandType.WRITE
+
+
+def _too_early(cmd: CommandType, cycle: int, legal: int) -> ValueError:
+    return ValueError(
+        f"{cmd.name} at cycle {cycle} violates timing "
+        f"(earliest legal: {legal})"
+    )
 
 
 @dataclass(slots=True)
@@ -66,9 +81,12 @@ class BankState:
     next_wr: int = 0
 
 
-@dataclass(frozen=True)
-class BusTransaction:
-    """One completed data burst on the channel's data bus."""
+class BusTransaction(NamedTuple):
+    """One completed data burst on the channel's data bus.
+
+    Immutable and built once per column command, so a named tuple:
+    as cheap to construct as a plain tuple.
+    """
 
     start: int  # first cycle of data transfer
     end: int  # one past the last cycle of data transfer
@@ -180,21 +198,27 @@ class DRAMChannel:
             for _ in range(geometry.ranks)
         ]
 
-        # Folded rank/group bounds, indexed [rank][group] (see the
-        # module docstring); refreshed by ``issue``.
+        # Folded rank/group column registers, indexed [rank][group];
+        # refreshed by ``issue`` and combined with the data-bus bound
+        # into ``bounds``.
         groups = geometry.bank_groups
-        self.fold_act = [[0] * groups for _ in range(geometry.ranks)]
         self.fold_rd = [[0] * groups for _ in range(geometry.ranks)]
         self.fold_wr = [[0] * groups for _ in range(geometry.ranks)]
+        # Flat bound slots (see the module docstring): READ at
+        # [rank * groups + group], WRITE one block of ranks * groups
+        # later, then ACTIVATE, then the PRECHARGE floor, which stays 0
+        # (bank registers start at 0 and only grow).
+        pairs = geometry.ranks * groups
+        self.write_slot0 = pairs
+        self.act_slot0 = 2 * pairs
+        self.pre_slot = 3 * pairs
+        self.bounds = [0] * (3 * pairs + 1)
 
         # Data bus state.
         self.bus_free_at = 0
         self.last_bus_rank: int | None = None
         self.last_bus_was_write: bool | None = None
         self.busy_cycles = 0
-        # Per-rank issue bounds the data bus imposes on a READ / WRITE.
-        self.bus_rd = [0] * geometry.ranks
-        self.bus_wr = [0] * geometry.ranks
         self._update_bus_bounds()
 
         # Event counters for the energy model.
@@ -266,18 +290,30 @@ class DRAMChannel:
         return self.timing.WL if is_write else self.timing.CL
 
     def _update_bus_bounds(self) -> None:
-        """Re-derive ``bus_rd``/``bus_wr`` from the data-bus state.
+        """Re-derive every column slot of ``bounds`` from the bus state.
 
         Data-bus availability converts to an issue-time bound: the
         burst may start once the bus is free plus any turnaround
-        bubble, and it starts one data latency after the command.
+        bubble, and it starts one data latency after the command.  A
+        column slot is the larger of that bound and the folded
+        rank/group register.
         """
-        free = self.bus_free_at
-        rd_latency = self._data_latency(False)
-        wr_latency = self._data_latency(True)
+        rd_free = self.bus_free_at - self._data_latency(False)
+        wr_free = self.bus_free_at - self._data_latency(True)
+        bounds = self.bounds
+        groups = self.geometry.bank_groups
+        wr0 = self.write_slot0
         for rank in range(self.geometry.ranks):
-            self.bus_rd[rank] = free + self._bus_gap(rank, False) - rd_latency
-            self.bus_wr[rank] = free + self._bus_gap(rank, True) - wr_latency
+            bus_rd = rd_free + self._bus_gap(rank, False)
+            bus_wr = wr_free + self._bus_gap(rank, True)
+            fold_rd = self.fold_rd[rank]
+            fold_wr = self.fold_wr[rank]
+            slot = rank * groups
+            for g in range(groups):
+                fold = fold_rd[g]
+                bounds[slot + g] = fold if fold > bus_rd else bus_rd
+                fold = fold_wr[g]
+                bounds[wr0 + slot + g] = fold if fold > bus_wr else bus_wr
 
     # ------------------------------------------------------------------
     # Earliest legal issue time
@@ -298,20 +334,19 @@ class DRAMChannel:
         8 for BL16).
         """
         b = self.banks[rank][group][bank]
+        pair = rank * self.geometry.bank_groups + group
 
         if cmd is CommandType.ACTIVATE:
-            return max(now, b.next_act, self.fold_act[rank][group])
+            return max(now, b.next_act, self.bounds[self.act_slot0 + pair])
 
         if cmd is CommandType.PRECHARGE:
             return max(now, b.next_pre)
 
         if cmd is CommandType.READ:
-            return max(now, b.next_rd, self.fold_rd[rank][group],
-                       self.bus_rd[rank])
+            return max(now, b.next_rd, self.bounds[pair])
 
         if cmd is CommandType.WRITE:
-            return max(now, b.next_wr, self.fold_wr[rank][group],
-                       self.bus_wr[rank])
+            return max(now, b.next_wr, self.bounds[self.write_slot0 + pair])
 
         if cmd is CommandType.REFRESH:
             t = self.timing
@@ -357,88 +392,39 @@ class DRAMChannel:
         Raises ``ValueError`` if the command violates a timing
         constraint — the controller is expected to consult
         :meth:`earliest_issue` first, so a violation is a scheduler bug.
+        Each command kind is checked against the same bound
+        :meth:`earliest_issue` returns, then against the bank's
+        row-buffer state, before anything is logged, so the command log
+        only ever holds committed commands.
         """
-        legal = self.earliest_issue(cmd, rank, group, bank, cycle, bus_cycles)
-        if cycle < legal:
-            raise ValueError(
-                f"{cmd.name} at cycle {cycle} violates timing "
-                f"(earliest legal: {legal})"
-            )
-        # Structural legality, checked before anything is logged so the
-        # command log only ever holds committed commands.
-        open_row = self.banks[rank][group][bank].open_row
-        if cmd is CommandType.ACTIVATE:
-            if open_row is not None:
-                raise ValueError("activate on a bank with an open row")
-            if row is None:
-                raise ValueError("activate needs a row")
-        elif cmd is CommandType.PRECHARGE:
-            if open_row is None:
-                raise ValueError("precharge on an already-closed bank")
-        elif cmd.is_column:
-            if open_row is None:
-                raise ValueError("column command on a closed bank")
-        elif cmd is CommandType.REFRESH:
-            if not self.all_banks_closed(rank):
-                raise ValueError("refresh requires all banks closed")
-        if self.keep_cmd_log:
-            is_column = cmd.is_column
-            self.command_log.append(
-                CommandRecord(
-                    cycle=cycle,
-                    cmd=cmd,
-                    rank=rank,
-                    bank_group=group,
-                    bank=bank,
-                    row=row,
-                    bus_cycles=bus_cycles if is_column else 0,
-                    auto_precharge=auto_precharge and is_column,
-                )
-            )
-
         t = self.timing
         b = self.banks[rank][group][bank]
         r = self.ranks[rank]
+        groups = self.geometry.bank_groups
+        pair = rank * groups + group
+        bounds = self.bounds
 
-        if cmd is CommandType.ACTIVATE:
-            b.open_row = row
-            self._rank_open(r, cycle, group, bank)
-            b.next_rd = max(b.next_rd, cycle + t.RCD)
-            b.next_wr = max(b.next_wr, cycle + t.RCD)
-            b.next_pre = max(b.next_pre, cycle + t.RAS)
-            b.next_act = max(b.next_act, cycle + t.RC)
-            history = r.act_history
-            history.append(cycle)
-            if len(history) > 8:
-                del history[:-8]
-            # tFAW: a fifth ACTIVATE waits for the fourth-last one.
-            rank_bound = history[-4] + t.FAW if len(history) >= 4 else 0
-            group_next_act = r.group_next_act
-            fold = self.fold_act[rank]
-            for g in range(self.geometry.bank_groups):
-                bound = t.RRD_L if g == group else t.RRD_S
-                group_next_act[g] = max(group_next_act[g], cycle + bound)
-                fold[g] = max(group_next_act[g], rank_bound)
-            self.activate_count += 1
-            if self.probe is not None:
-                self.probe.activate(cycle, rank)
-            return cycle + t.RCD
+        if cmd is _READ or cmd is _WRITE:
+            is_write = cmd is _WRITE
+            if is_write:
+                legal = b.next_wr
+                bound = bounds[self.write_slot0 + pair]
+            else:
+                legal = b.next_rd
+                bound = bounds[pair]
+            if bound > legal:
+                legal = bound
+            if cycle < legal:
+                raise _too_early(cmd, cycle, legal)
+            if b.open_row is None:
+                raise ValueError("column command on a closed bank")
+            if self.keep_cmd_log:
+                self._log(cycle, cmd, rank, group, bank, row, bus_cycles,
+                          auto_precharge)
 
-        if cmd is CommandType.PRECHARGE:
-            b.open_row = None
-            self._rank_close(r, cycle, group, bank)
-            b.next_act = max(b.next_act, cycle + t.RP)
-            r.closed_next_act = max(r.closed_next_act, b.next_act)
-            if self.probe is not None:
-                self.probe.precharge(cycle, rank)
-            return cycle + t.RP
-
-        if cmd in (CommandType.READ, CommandType.WRITE):
-            is_write = cmd is CommandType.WRITE
             latency = self._data_latency(is_write)
             data_start = cycle + latency
             data_end = data_start + bus_cycles
-
             if is_write:
                 # Write recovery and write-to-read turnaround count from
                 # the end of write data.
@@ -458,7 +444,7 @@ class DRAMChannel:
             group_next_wr = r.group_next_wr
             fold_rd = self.fold_rd[rank]
             fold_wr = self.fold_wr[rank]
-            for g in range(self.geometry.bank_groups):
+            for g in range(groups):
                 same = g == group
                 ccd = ccd_l if same else ccd_s
                 next_rd = max(group_next_rd[g], cycle + ccd)
@@ -492,37 +478,103 @@ class DRAMChannel:
             self._update_bus_bounds()
             self.busy_cycles += bus_cycles
             if self.keep_log:
-                self.transactions.append(
-                    BusTransaction(
-                        start=data_start,
-                        end=data_end,
-                        issue_cycle=cycle,
-                        is_write=is_write,
-                        rank=rank,
-                        bank_group=group,
-                        bank=bank,
-                        scheme=scheme,
-                        request_id=request_id,
-                    )
-                )
+                self.transactions.append(BusTransaction(
+                    data_start, data_end, cycle, is_write, rank, group,
+                    bank, scheme, request_id,
+                ))
             if self.probe is not None:
                 self.probe.bus_burst(
                     data_start, data_end, scheme, is_write, rank, group, bank
                 )
             return data_end
 
-        if cmd is CommandType.REFRESH:
-            done = cycle + t.RFC
-            for grp in self.banks[rank]:
-                for bb in grp:
-                    bb.next_act = max(bb.next_act, done)
-            r.closed_next_act = max(r.closed_next_act, done)
-            self.refresh_count += 1
-            if self.probe is not None:
-                self.probe.refresh(cycle, rank)
-            return done
+        if cmd is _ACTIVATE:
+            legal = b.next_act
+            bound = bounds[self.act_slot0 + pair]
+            if bound > legal:
+                legal = bound
+            if cycle < legal:
+                raise _too_early(cmd, cycle, legal)
+            if b.open_row is not None:
+                raise ValueError("activate on a bank with an open row")
+            if row is None:
+                raise ValueError("activate needs a row")
+            if self.keep_cmd_log:
+                self._log(cycle, cmd, rank, group, bank, row, 0, False)
 
-        raise ValueError(f"unknown command {cmd}")
+            b.open_row = row
+            self._rank_open(r, cycle, group, bank)
+            b.next_rd = max(b.next_rd, cycle + t.RCD)
+            b.next_wr = max(b.next_wr, cycle + t.RCD)
+            b.next_pre = max(b.next_pre, cycle + t.RAS)
+            b.next_act = max(b.next_act, cycle + t.RC)
+            history = r.act_history
+            history.append(cycle)
+            if len(history) > 8:
+                del history[:-8]
+            # tFAW: a fifth ACTIVATE waits for the fourth-last one.
+            rank_bound = history[-4] + t.FAW if len(history) >= 4 else 0
+            group_next_act = r.group_next_act
+            slot = self.act_slot0 + rank * groups
+            for g in range(groups):
+                bound = t.RRD_L if g == group else t.RRD_S
+                group_next_act[g] = max(group_next_act[g], cycle + bound)
+                bounds[slot + g] = max(group_next_act[g], rank_bound)
+            self.activate_count += 1
+            if self.probe is not None:
+                self.probe.activate(cycle, rank)
+            return cycle + t.RCD
+
+        if cmd is _PRECHARGE:
+            if cycle < b.next_pre:
+                raise _too_early(cmd, cycle, b.next_pre)
+            if b.open_row is None:
+                raise ValueError("precharge on an already-closed bank")
+            if self.keep_cmd_log:
+                self._log(cycle, cmd, rank, group, bank, row, 0, False)
+
+            b.open_row = None
+            self._rank_close(r, cycle, group, bank)
+            b.next_act = max(b.next_act, cycle + t.RP)
+            r.closed_next_act = max(r.closed_next_act, b.next_act)
+            if self.probe is not None:
+                self.probe.precharge(cycle, rank)
+            return cycle + t.RP
+
+        # REFRESH (or an unknown command, which earliest_issue rejects).
+        legal = self.earliest_issue(cmd, rank, group, bank, cycle)
+        if cycle < legal:
+            raise _too_early(cmd, cycle, legal)
+        if not self.all_banks_closed(rank):
+            raise ValueError("refresh requires all banks closed")
+        if self.keep_cmd_log:
+            self._log(cycle, cmd, rank, group, bank, row, 0, False)
+
+        done = cycle + t.RFC
+        for grp in self.banks[rank]:
+            for bb in grp:
+                bb.next_act = max(bb.next_act, done)
+        r.closed_next_act = max(r.closed_next_act, done)
+        self.refresh_count += 1
+        if self.probe is not None:
+            self.probe.refresh(cycle, rank)
+        return done
+
+    def _log(self, cycle, cmd, rank, group, bank, row, bus_cycles,
+             auto_precharge) -> None:
+        """Append one committed command to :attr:`command_log`."""
+        self.command_log.append(
+            CommandRecord(
+                cycle=cycle,
+                cmd=cmd,
+                rank=rank,
+                bank_group=group,
+                bank=bank,
+                row=row,
+                bus_cycles=bus_cycles,
+                auto_precharge=auto_precharge,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Introspection used by the decision logic and the analysis layer

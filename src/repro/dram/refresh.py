@@ -26,7 +26,9 @@ class RefreshScheduler:
         # Next cycle each rank accrues one refresh obligation.
         self._next_due = [timing.REFI] * ranks
         self._debt = [0] * ranks
-        self._min_due = timing.REFI  # cheap gate for the hot path
+        # Earliest cycle any rank accrues its next obligation: before
+        # it, accrue() has nothing to do (the controller's cheap gate).
+        self.next_accrual = timing.REFI
         # True when some rank has exhausted its postponement budget and
         # must refresh before anything else.  Kept current by accrue
         # and paid, so the controller's per-event test is a read.
@@ -44,7 +46,7 @@ class RefreshScheduler:
         model is that refresh *spacing* stays honest once traffic
         resumes.
         """
-        if now < self._min_due:
+        if now < self.next_accrual:
             return
         refi = self.timing.REFI
         for rank in range(self.ranks):
@@ -53,7 +55,7 @@ class RefreshScheduler:
             missed = (now - self._next_due[rank]) // refi + 1
             self._debt[rank] = min(MAX_POSTPONED, self._debt[rank] + missed)
             self._next_due[rank] += missed * refi
-        self._min_due = min(self._next_due)
+        self.next_accrual = min(self._next_due)
         self.overdue = max(self._debt) >= MAX_POSTPONED
 
     def debt(self, rank: int) -> int:
@@ -92,4 +94,4 @@ class RefreshScheduler:
         is ever missed (the purity contract in DESIGN.md, "Event
         core").
         """
-        return self._min_due
+        return self.next_accrual

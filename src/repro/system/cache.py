@@ -11,14 +11,13 @@ results depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Cache", "AccessResult"]
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access (immutable, built once per access)."""
 
     hit: bool
     writeback: int | None  # line address of an evicted dirty victim
@@ -56,24 +55,23 @@ class Cache:
 
     def access(self, address: int, is_write: bool) -> AccessResult:
         """Look up ``address``; allocate on miss; return what happened."""
-        line = self._line_of(address)
-        ways = self._set_for(line)
+        line_bytes = self.line_bytes
+        line = address - address % line_bytes
+        ways = self._sets[(line // line_bytes) & self._set_mask]
         if line in ways:
             self.hits += 1
-            dirty = ways.pop(line) or is_write
-            ways[line] = dirty  # reinsert as MRU
-            return AccessResult(hit=True, writeback=None, line=line)
+            ways[line] = ways.pop(line) or is_write  # reinsert as MRU
+            return AccessResult(True, None, line)
 
         self.misses += 1
         writeback = None
         if len(ways) >= self.ways:
-            victim, victim_dirty = next(iter(ways.items()))
-            del ways[victim]
-            if victim_dirty:
+            victim = next(iter(ways))
+            if ways.pop(victim):
                 self.writebacks += 1
                 writeback = victim
         ways[line] = is_write
-        return AccessResult(hit=False, writeback=writeback, line=line)
+        return AccessResult(False, writeback, line)
 
     def contains(self, address: int) -> bool:
         """Presence probe with no LRU side effect."""
@@ -89,20 +87,42 @@ class Cache:
 
     def fill(self, address: int, dirty: bool = False) -> int | None:
         """Install a line (e.g. a prefetch); returns a dirty victim or None."""
-        line = self._line_of(address)
-        ways = self._set_for(line)
+        line_bytes = self.line_bytes
+        line = address - address % line_bytes
+        ways = self._sets[(line // line_bytes) & self._set_mask]
         if line in ways:
             ways[line] = ways.pop(line) or dirty
             return None
         writeback = None
         if len(ways) >= self.ways:
-            victim, victim_dirty = next(iter(ways.items()))
-            del ways[victim]
-            if victim_dirty:
+            victim = next(iter(ways))
+            if ways.pop(victim):
                 self.writebacks += 1
                 writeback = victim
         ways[line] = dirty
         return writeback
+
+    def fill_lines(self, addresses, dirty) -> None:
+        """Install ``addresses`` in order, as one :meth:`fill` each would.
+
+        ``dirty`` is a parallel iterable of flags.  Victims are dropped
+        (still counted in :attr:`writebacks`): this is the bulk path for
+        pre-filling a cache to steady state.
+        """
+        line_bytes = self.line_bytes
+        sets = self._sets
+        set_mask = self._set_mask
+        capacity = self.ways
+        for address, flag in zip(addresses, dirty):
+            line = address - address % line_bytes
+            ways = sets[(line // line_bytes) & set_mask]
+            if line in ways:
+                ways[line] = ways.pop(line) or flag
+                continue
+            if len(ways) >= capacity:
+                if ways.pop(next(iter(ways))):
+                    self.writebacks += 1
+            ways[line] = flag
 
     def invalidate(self, address: int) -> bool:
         """Drop a line; returns True if it was present and dirty."""

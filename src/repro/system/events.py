@@ -81,14 +81,16 @@ class EventQueue:
         heap = self._heap
         ctrl_version = self._ctrl_version
         core_arm = self._core_arm
+        heappop = heapq.heappop
         while heap:
             when = heap[0][0]
             completions: list = []
             cores: list = []
             channels: list = []
+            pops = stale = 0
             while heap and heap[0][0] == when:
-                _, tag, key, version = heapq.heappop(heap)
-                self.pops += 1
+                _, tag, key, version = heappop(heap)
+                pops += 1
                 if tag == _COMPLETION:
                     completions.append(key)
                 elif tag == _CORE:
@@ -96,11 +98,13 @@ class EventQueue:
                         core_arm[key] = -1
                         cores.append(key)
                     else:
-                        self.stale += 1
+                        stale += 1
                 elif ctrl_version[key] == version:
                     channels.append(key)
                 else:
-                    self.stale += 1
+                    stale += 1
+            self.pops += pops
+            self.stale += stale
             if completions or cores or channels:
                 return when, completions, cores, channels
             # Everything at this cycle was stale; keep draining.

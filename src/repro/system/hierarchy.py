@@ -100,8 +100,10 @@ def _warm_l2(l2, streams, config, rng) -> None:
             line_dirty_prob = 0.0
         base = _WARMUP_BIT | (idx << 36)
         dirty = rng.random(per_stream) < line_dirty_prob
-        for k in range(per_stream):
-            l2.fill(base + k * config.line_bytes, dirty=bool(dirty[k]))
+        step = config.line_bytes
+        l2.fill_lines(
+            range(base, base + per_stream * step, step), dirty.tolist()
+        )
 
 
 def filter_through_hierarchy(

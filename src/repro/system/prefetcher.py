@@ -43,49 +43,81 @@ class _Stream:
     direction: int  # +1 or -1
     confirmations: int
     frontier: int  # next line index to prefetch
-    last_used: int  # for LRU stream replacement
 
 
 class StreamPrefetcher:
-    """Tracks access streams and emits prefetch line addresses."""
+    """Tracks access streams and emits prefetch line addresses.
+
+    An access joins the first stream, in table order, whose last line
+    lies within ``_MATCH_WINDOW`` lines of it.  Streams are indexed by
+    the ``_MATCH_WINDOW``-line window their last line falls in, so the
+    match looks at three windows instead of the whole table; LRU
+    replacement reads a last-used list parallel to the table (ticks are
+    unique, so the least recently used stream is unambiguous).
+    """
 
     def __init__(self, config: PrefetcherConfig, line_bytes: int = 64):
         self.config = config
         self.line_bytes = line_bytes
         self._streams: list[_Stream] = []
+        self._last_used: list[int] = []
+        # window (last_line // _MATCH_WINDOW) -> table indices.
+        self._windows: dict[int, list[int]] = {}
         self._tick = 0
         self.issued = 0
+
+    def _match(self, line: int) -> int:
+        """Lowest table index of a stream within reach of ``line``; -1 if none."""
+        streams = self._streams
+        windows = self._windows
+        window = line // _MATCH_WINDOW
+        best = -1
+        for key in (window - 1, window, window + 1):
+            for i in windows.get(key, ()):
+                if (best < 0 or i < best) and (
+                    abs(line - streams[i].last_line) <= _MATCH_WINDOW
+                ):
+                    best = i
+        return best
+
+    def _move(self, i: int, stream: _Stream, line: int) -> None:
+        """Set stream ``i``'s last line, keeping the window index current."""
+        old = stream.last_line // _MATCH_WINDOW
+        new = line // _MATCH_WINDOW
+        if old != new:
+            windows = self._windows
+            bucket = windows[old]
+            bucket.remove(i)
+            if not bucket:
+                del windows[old]
+            windows.setdefault(new, []).append(i)
+        stream.last_line = line
 
     def observe(self, address: int) -> list[int]:
         """Feed one demand access; returns line addresses to prefetch."""
         self._tick += 1
         line = address // self.line_bytes
-        out: list[int] = []
-
-        for stream in self._streams:
-            delta = line - stream.last_line
-            if delta == 0:
-                stream.last_used = self._tick
-                return out
-            if 0 < abs(delta) <= _MATCH_WINDOW:
-                direction = 1 if delta > 0 else -1
-                if direction == stream.direction:
-                    stream.confirmations += 1
-                    stream.last_line = line
-                    stream.last_used = self._tick
-                    if stream.confirmations >= _TRAIN_THRESHOLD:
-                        out = self._advance(stream, line)
-                    return out
-                # Direction flip: retrain the stream in the new direction.
-                stream.direction = direction
-                stream.confirmations = 1
-                stream.last_line = line
-                stream.frontier = line + direction
-                stream.last_used = self._tick
-                return out
-
-        self._allocate(line)
-        return out
+        i = self._match(line)
+        if i < 0:
+            self._allocate(line)
+            return []
+        stream = self._streams[i]
+        self._last_used[i] = self._tick
+        delta = line - stream.last_line
+        if delta == 0:
+            return []
+        direction = 1 if delta > 0 else -1
+        self._move(i, stream, line)
+        if direction == stream.direction:
+            stream.confirmations += 1
+            if stream.confirmations >= _TRAIN_THRESHOLD:
+                return self._advance(stream, line)
+            return []
+        # Direction flip: retrain the stream in the new direction.
+        stream.direction = direction
+        stream.confirmations = 1
+        stream.frontier = line + direction
+        return []
 
     def _advance(self, stream: _Stream, line: int) -> list[int]:
         cfg = self.config
@@ -115,14 +147,24 @@ class StreamPrefetcher:
             direction=1,
             confirmations=0,
             frontier=line + 1,
-            last_used=self._tick,
         )
-        if len(self._streams) >= self.config.nstreams:
-            victim = min(range(len(self._streams)),
-                         key=lambda i: self._streams[i].last_used)
-            self._streams[victim] = stream
+        streams = self._streams
+        last_used = self._last_used
+        windows = self._windows
+        if len(streams) >= self.config.nstreams:
+            victim = last_used.index(min(last_used))
+            window = streams[victim].last_line // _MATCH_WINDOW
+            bucket = windows[window]
+            bucket.remove(victim)
+            if not bucket:
+                del windows[window]
+            streams[victim] = stream
+            last_used[victim] = self._tick
         else:
-            self._streams.append(stream)
+            victim = len(streams)
+            streams.append(stream)
+            last_used.append(self._tick)
+        windows.setdefault(line // _MATCH_WINDOW, []).append(victim)
 
     @property
     def active_streams(self) -> int:

@@ -193,11 +193,7 @@ class _SimCore:
             return False
 
         request = MemoryRequest(
-            address=address,
-            is_write=rec.is_write,
-            core=core_id,
-            line_id=rec.line_id,
-            is_prefetch=rec.is_prefetch,
+            address, rec.is_write, core_id, rec.line_id, rec.is_prefetch
         )
         request.mapped = mapped
         mc.enqueue(request, now)
@@ -334,6 +330,7 @@ class _SimCore:
         completions: list = []
         attempt = set(range(len(cores)))
         due = range(len(controllers))
+        n_cores = len(cores)
         while now < max_cycles:
             # 1. Retire completions whose data arrives this cycle.
             if completions:
@@ -341,8 +338,9 @@ class _SimCore:
 
             # 2. Let the woken cores push work into the controllers.
             dirty: set = set()
-            for core_id in sorted(attempt):
-                self._drive_core(core_id, now, dirty)
+            if attempt:
+                for core_id in sorted(attempt):
+                    self._drive_core(core_id, now, dirty)
 
             # 3. One scheduling step per due-or-enqueued controller,
             #    then reschedule its wake (``due`` is already sorted
@@ -366,7 +364,7 @@ class _SimCore:
                 if mc.completed:
                     self._collect_completions(mc, push)
 
-            if self._finished():
+            if self.done_cores >= n_cores and self._finished():
                 break
 
             # 5. Jump to the next populated cycle.

@@ -19,6 +19,7 @@ GUPS memory-intensive.
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -406,9 +407,28 @@ def validate_benchmark(name: str) -> None:
         )
 
 
-_TRACE_CACHE: dict[tuple, MemoryTrace] = {}
+# Process-wide LRU of built traces.  A campaign replays each trace
+# under several policies back to back, so a few entries serve it; the
+# bound keeps a long-lived process (a serve shard or a remote worker,
+# which sees a fresh seed per job) from holding every trace it built.
+_TRACE_CACHE: OrderedDict[tuple, MemoryTrace] = OrderedDict()
+TRACE_CACHE_ENTRIES = 16
 
 DEFAULT_ACCESSES_PER_CORE = 24_000
+
+
+def _cached_trace(key: tuple) -> MemoryTrace | None:
+    trace = _TRACE_CACHE.get(key)
+    if trace is not None:
+        _TRACE_CACHE.move_to_end(key)
+    return trace
+
+
+def _cache_trace(key: tuple, trace: MemoryTrace) -> None:
+    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE.move_to_end(key)
+    while len(_TRACE_CACHE) > TRACE_CACHE_ENTRIES:
+        _TRACE_CACHE.popitem(last=False)
 
 
 def build_trace(
@@ -433,26 +453,26 @@ def build_trace(
         # (of the config) only the core count.
         mix = MixSpec.parse(name)
         key = (mix.name, config.cores, seed, int(accesses_per_core))
-        if use_cache and key in _TRACE_CACHE:
-            return _TRACE_CACHE[key]
-        trace = build_mixed_trace(
-            mix, config, seed=seed, accesses_per_core=accesses_per_core
-        )
-        if use_cache:
-            _TRACE_CACHE[key] = trace
+        trace = _cached_trace(key) if use_cache else None
+        if trace is None:
+            trace = build_mixed_trace(
+                mix, config, seed=seed, accesses_per_core=accesses_per_core
+            )
+            if use_cache:
+                _cache_trace(key, trace)
         return trace
 
     spec = get_benchmark(name)
     scaled = max(64, int(accesses_per_core * spec.access_scale))
     key = (spec.name, config.name, seed, scaled)
-    if use_cache and key in _TRACE_CACHE:
-        return _TRACE_CACHE[key]
-    streams = spec.streams(config, seed, scaled)
-    trace = filter_through_hierarchy(
-        streams, config, spec.data_model(), seed=seed, name=spec.name
-    )
-    if use_cache:
-        _TRACE_CACHE[key] = trace
+    trace = _cached_trace(key) if use_cache else None
+    if trace is None:
+        streams = spec.streams(config, seed, scaled)
+        trace = filter_through_hierarchy(
+            streams, config, spec.data_model(), seed=seed, name=spec.name
+        )
+        if use_cache:
+            _cache_trace(key, trace)
     return trace
 
 

@@ -1,8 +1,9 @@
 """The scheduling-loop caches must be invisible in the command stream.
 
-``ChannelController`` memoises its per-bank row-hit search, its fused
-``(pick, wake)`` pass and its next-wake time against version counters;
-any stale read would reorder or drop DRAM commands.  These tests run the
+``ChannelController`` keeps per-bank scheduling records that only dirty
+banks re-derive, memoises its fused ``(pick, wake)`` pass per state
+version, and caches its next-wake time; any stale read would reorder or
+drop DRAM commands.  These tests run the
 same request schedule through the production controller and through
 :class:`tests.event_oracle.OracleController`, which bypasses every memo,
 and hold the two command logs to *byte identity* — same commands, same
@@ -56,7 +57,7 @@ def test_cache_off_is_byte_identical(seed, page_policy):
     plain_mc, plain_done, plain_finish = _run(
         schedule, page_policy, OracleController
     )
-    # The oracle really bypassed the per-bank memo.
+    # The oracle really bypassed the scheduling records.
     assert cached_mc.cand_bank_hits > 0
     assert plain_mc.cand_bank_hits + plain_mc.cand_bank_misses == 0
 
@@ -78,7 +79,7 @@ def test_cache_off_is_byte_identical(seed, page_policy):
 
 
 def test_cache_is_actually_exercised():
-    """Guard against the memos silently never hitting (dead cache)."""
+    """Guard against the records silently never being reused (dead cache)."""
     mc = ChannelController(DDR4_3200, DDR4_GEOMETRY)
     for line in (0, 1, 256, 257):  # two row hits in each of two banks
         mc.enqueue(make_request(line), 0)
@@ -87,16 +88,21 @@ def test_cache_is_actually_exercised():
         mc.step(now)
         now = mc.next_event(now)
     # Both banks open, a column ready: same state, same cycle, and the
-    # second query is the memoised pass (same pick object, no bank
+    # second query is the memoised pass (same pick object, no record
     # revisited).
     pick, wake = mc._schedule_query(now)
     visits = mc.cand_bank_hits + mc.cand_bank_misses
     assert mc._schedule_query(now) == (pick, wake)
     assert mc._schedule_query(now)[0] is pick
     assert mc.cand_bank_hits + mc.cand_bank_misses == visits
-    # Issuing the pick invalidates the pass; the next one revisits the
-    # banks and serves the untouched one from its per-bank memo.
-    hits = mc.cand_bank_hits
+    # Issuing the pick dirties only the bank it touched (in both
+    # directions); the next pass re-derives that one record and reuses
+    # the untouched bank's.
+    hits, misses = mc.cand_bank_hits, mc.cand_bank_misses
     assert mc.step(now) is True
+    key = (pick.rank, pick.group, pick.bank)
+    assert mc._dirty_rd == {key}
+    assert key in mc._dirty_wr
     assert mc._schedule_query(now + 1)[0] is not pick
+    assert mc.cand_bank_misses == misses + 1
     assert mc.cand_bank_hits > hits

@@ -1,12 +1,12 @@
 """Per-state property test for the channel's folded timing bounds.
 
 ``DRAMChannel`` folds its rank- and group-scope registers (tCCD, tWTR,
-tRRD, tFAW) into one register per (rank, bank group) and command, and
-its data-bus state into one bound per rank.  The controller's fused
-``_schedule_query`` and MiL's ``column_ready_within`` read those folds
-directly instead of asking ``earliest_issue`` bank by bank.  Hypothesis
-drives random request schedules (reads and writes, row hits and
-conflicts, prefetches, open and closed page, DDR4 and LPDDR3, write
+tRRD, tFAW) and its data-bus state into one bound per (rank, bank
+group) and command, kept in the flat ``bounds`` list.  The controller's
+fused ``_schedule_query`` and MiL's ``column_ready_within`` read those
+bounds directly instead of asking ``earliest_issue`` bank by bank.
+Hypothesis drives random request schedules (reads and writes, row hits
+and conflicts, prefetches, open and closed page, DDR4 and LPDDR3, write
 drain engaging and not) to random cycles, and at every visited state
 holds the three readers to independent references:
 

@@ -1,8 +1,8 @@
 """The equivalence oracle for the event core: full scans, lockstep loop.
 
 Production has one scheduler and one driver: ``ChannelController``
-memoises its per-bank row-hit search, its fused ``(pick, wake)`` pass
-and its next-wake time, and ``repro.system.simulator`` drives the
+keeps per-bank scheduling records, memoises its fused ``(pick, wake)``
+pass and its next-wake time, and ``repro.system.simulator`` drives the
 controllers off a cross-channel event heap.  This module keeps the
 original, obviously-correct versions of both, for tests to compare the
 production path against:

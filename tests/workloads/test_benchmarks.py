@@ -74,6 +74,28 @@ class TestTraces:
         c = build_trace("MM", NIAGARA_SERVER, accesses_per_core=SMALL)
         assert c is not a
 
+    def test_trace_cache_keeps_the_most_recent_entries(self):
+        from repro.workloads import benchmarks
+
+        def build(seed):
+            return build_trace("MM", NIAGARA_SERVER, seed=seed,
+                               accesses_per_core=64)
+
+        limit = benchmarks.TRACE_CACHE_ENTRIES
+        clear_trace_cache()
+        try:
+            built = [build(seed) for seed in range(limit)]
+            assert build(0) is built[0]  # seed 0 is now the most recent
+            newest = build(limit)  # limit + 1 distinct traces so far
+            assert len(benchmarks._TRACE_CACHE) == limit
+            assert build(0) is built[0]
+            assert build(limit) is newest
+            for seed in range(2, limit):
+                assert build(seed) is built[seed]
+            assert build(1) is not built[1]  # the least recent went
+        finally:
+            clear_trace_cache()
+
     def test_trace_has_payloads(self):
         trace = build_trace("GUPS", NIAGARA_SERVER, accesses_per_core=SMALL)
         assert trace.line_data.shape == (trace.total_records, 64)

@@ -32,9 +32,12 @@ DESIGN.md, "Event core"):
   internal to ``repro.system`` — no module outside that package may
   import it, by any spelling;
 * the controller's scheduling internals (``_schedule_query``,
-  ``_derive_bank_candidate``, ``_bank_memo_rd``, ``_bank_memo_wr``)
-  are internal to ``repro.controller`` — outside it, only the public
-  ``step`` / ``next_event`` / ``sync`` surface exists.
+  ``_derive_bank_candidate``, the per-direction scheduling records
+  ``_records_rd``/``_records_wr``, their dirty sets
+  ``_dirty_rd``/``_dirty_wr`` and their row-hit subsets
+  ``_hit_records_rd``/``_hit_records_wr``) are internal to
+  ``repro.controller`` — outside it, only the public ``step`` /
+  ``next_event`` / ``sync`` surface exists.
 
 Run from the repository root (CI does)::
 
@@ -65,13 +68,18 @@ CODEC_CLASS_NAMES = frozenset({
 })
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 EXEMPT = "coding"  # the package that owns scheme knowledge
-# Controller scheduling internals: the incremental candidate cache and
-# the fused (pick, wake) query.  Only repro.controller may touch them.
+# Controller scheduling internals: the per-bank scheduling records,
+# their dirty sets and the fused (pick, wake) query.  Only
+# repro.controller may touch them.
 CONTROLLER_INTERNALS = frozenset({
     "_schedule_query",
     "_derive_bank_candidate",
-    "_bank_memo_rd",
-    "_bank_memo_wr",
+    "_records_rd",
+    "_records_wr",
+    "_dirty_rd",
+    "_dirty_wr",
+    "_hit_records_rd",
+    "_hit_records_wr",
 })
 # The event heap's owning package; repro.system.events may not be
 # imported from anywhere else.
