@@ -20,16 +20,8 @@ See docs/EXTENDING.md for the recipe this script demonstrates.
 
 import sys
 
-import numpy as np
-
 from repro.cli import main as repro_main
-from repro.coding import (
-    KLimitedWeightCode,
-    codec_for,
-    register_backend,
-    register_codec,
-)
-from repro.coding.reference import ReferenceKLWC
+from repro.coding import KLimitedWeightCode, register_codec
 from repro.core import MiLPolicy, PolicyContext, register_policy
 
 # ----------------------------------------------------------------------
@@ -37,32 +29,13 @@ from repro.core import MiLPolicy, PolicyContext, register_policy
 #    weight <= 3, so every byte fits with at most three 0s on the bus.
 #    Fourteen beats over the 64 data pins -> burst length 14, occupying
 #    the slot the Figure 20 sweep probes with the codec-less ``bl14``.
-#    The factory passed to register_codec becomes the scheme's default
-#    backend (impl="numpy").
+#    A codec landing in src/ would also add a per-element reference to
+#    tests/codec_oracle.py (see docs/EXTENDING.md).
 # ----------------------------------------------------------------------
 register_codec(
     "lwc14", burst_length=14, extra_latency=1, layout="line", pins=64,
     description="(8, 14) 3-LWC between lwc12 (BL12) and 3lwc (BL16)",
 )(lambda: KLimitedWeightCode(8, 14, 3))
-
-# A second backend in the scheme's slot: the pure-Python oracle, built
-# from the same generic reference code the built-in lwc12 uses.  Now
-# ``REPRO_CODEC_IMPL=reference`` (or ``repro --codec-impl reference``)
-# covers lwc14 too — backends must be bit-identical, so results never
-# depend on which one runs.
-register_backend("lwc14", "reference")(lambda: ReferenceKLWC(8, 14, 3))
-
-
-def _check_backends_agree() -> None:
-    """The equivalence contract, in miniature (the full sweep lives in
-    tests/coding/test_backend_equivalence.py)."""
-    rng = np.random.default_rng(14)
-    lines = rng.integers(0, 256, size=(8, 64), dtype=np.uint8)
-    fast = codec_for("lwc14", impl="numpy")
-    oracle = codec_for("lwc14", impl="reference")
-    assert type(fast) is not type(oracle)
-    assert np.array_equal(fast.encode_lines(lines), oracle.encode_lines(lines))
-    assert np.array_equal(fast.line_zeros(lines), oracle.line_zeros(lines))
 
 
 # ----------------------------------------------------------------------
@@ -79,11 +52,10 @@ def _build_mil_lwc14(ctx: PolicyContext):
 
 
 def main() -> int:
-    _check_backends_agree()
     scale = "800" if "--fast" in sys.argv else "2500"
     # The stock CLI, unmodified: --policy now accepts mil-lwc14 because
     # the parser reads its choices from the policy registry, and the run
-    # resolves every codec — including lwc14 — through the backend slot.
+    # resolves every codec — including lwc14 — through the codec registry.
     return repro_main([
         "run", "CG", "--policy", "mil-lwc14", "--scale", scale,
         "--baseline",

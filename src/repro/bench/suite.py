@@ -12,10 +12,9 @@ Groups:
     signaling) plus the raw popcount primitive and its legacy
     unpack-to-bits formulation, kept as the regression reference for the
     ``bitops`` fast path.  ``coding.encode_trace.<scheme>`` times the
-    batched ``encode_lines`` kernel through the default (numpy) backend;
-    ``coding.encode_trace_reference.<scheme>`` times the pure-Python
-    oracle on the same corpus — the pair is what
-    ``benchmarks/test_batched_codec_speedup.py`` gates at >=3x.
+    batched ``encode_lines`` kernel, which
+    ``benchmarks/test_batched_codec_speedup.py`` gates at >=3x over the
+    test oracle's per-element reference codecs on the same corpus.
 ``dram.*`` / ``controller.*`` / ``core.*``
     The cycle-level channel tick loop, the fused FR-FCFS scheduling pass,
     and the MiL look-ahead decision.
@@ -80,34 +79,32 @@ for _scheme in _HEAVY_SCHEMES:
     _register_line_zeros(_scheme, smoke=False)
 
 
-# Batched encode kernels, one entry per (scheme, backend).  The corpus
-# is smaller than _LINES because the reference oracle is per-element
-# Python — the pair must share a corpus so the >=3x speedup gate in
-# benchmarks/test_batched_codec_speedup.py compares like with like.
+# Batched encode kernels, one entry per scheme.  The corpus is smaller
+# than _LINES because the speedup gate in
+# benchmarks/test_batched_codec_speedup.py times the per-element Python
+# reference codecs on the same corpus, to compare like with like.
 _TRACE_LINES = 256
 _CODEC_SCHEMES = ("dbi", "milc", "3lwc", "cafo2", "cafo4", "lwc12")
 
 
-def _register_encode_trace(scheme: str, impl: str, smoke: bool) -> None:
-    suffix = "" if impl == "numpy" else f"_{impl}"
+def _register_encode_trace(scheme: str, smoke: bool) -> None:
     @benchmark(
-        f"coding.encode_trace{suffix}.{scheme}",
-        params={"lines": _TRACE_LINES, "scheme": scheme, "impl": impl},
+        f"coding.encode_trace.{scheme}",
+        params={"lines": _TRACE_LINES, "scheme": scheme},
         smoke=smoke,
         inner_ops=_TRACE_LINES,
         description=f"batched {scheme} encode_lines kernel over "
-                    f"{_TRACE_LINES} cache lines ({impl} backend)",
+                    f"{_TRACE_LINES} cache lines",
     )
-    def _factory(scheme=scheme, impl=impl):
+    def _factory(scheme=scheme):
         from ..coding.pipeline import encode_trace
 
         data = corpus.lines(_TRACE_LINES)
-        return lambda: encode_trace(scheme, data, impl=impl)
+        return lambda: encode_trace(scheme, data)
 
 
 for _scheme in _CODEC_SCHEMES:
-    _register_encode_trace(_scheme, "numpy", smoke=_scheme in _SMOKE_SCHEMES)
-    _register_encode_trace(_scheme, "reference", smoke=False)
+    _register_encode_trace(_scheme, smoke=_scheme in _SMOKE_SCHEMES)
 
 
 @benchmark(

@@ -65,13 +65,6 @@ Commands
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) sets the
 process-pool width for campaign-backed commands; ``-j1`` stays serial.
 
-``--codec-impl {reference,numpy}`` (or the ``REPRO_CODEC_IMPL``
-environment variable, which also accepts backends other packages
-register) selects the codec backend for every command: ``numpy`` is
-the vectorised default, ``reference`` the pure-Python oracle.  All
-backends are bit-identical, so results never change — only wall-clock
-does.
-
 ``run`` and ``campaign`` accept ``--audit`` (record each run's DRAM
 command log and re-derive every Table 2 constraint from it post-run;
 rides outside the run's identity, so cache keys are unchanged) and
@@ -106,11 +99,6 @@ DEFAULT_SCALE = 4000
 # argument parser does not import numpy and the whole bench package.
 _BENCH_REPEATS = 7
 _BENCH_WARMUP = 2
-
-# Mirrors repro.coding.registry (IMPL_ENV / KNOWN_IMPLS) for the same
-# reason; registry validates the value again when codecs are built.
-_IMPL_ENV = "REPRO_CODEC_IMPL"
-_KNOWN_IMPLS = ("reference", "numpy")
 
 
 def _system(name: str):
@@ -407,8 +395,7 @@ def cmd_trace(args) -> int:
         dump_transactions_jsonl,
     )
     from .coding.pipeline import precompute_line_zeros
-    from .core.framework import make_policy_factory
-    from .core.policies import sent_schemes
+    from .core.policies import make_factory, sent_schemes
     from .system.simulator import simulate
     from .workloads.benchmarks import build_trace
 
@@ -419,8 +406,7 @@ def cmd_trace(args) -> int:
         trace.line_data, sent_schemes(args.policy),
         digest=trace.line_digest,
     )
-    result = simulate(trace, config,
-                      make_policy_factory(args.policy, zeros))
+    result = simulate(trace, config, make_factory(args.policy, zeros))
     # Each channel has its own data bus, so each gets its own dump and
     # its own audit (a merged file would interleave unrelated buses).
     stem, dot, suffix = args.output.rpartition(".")
@@ -918,12 +904,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}",
     )
-    parser.add_argument(
-        "--codec-impl", default=None, choices=_KNOWN_IMPLS,
-        help="codec backend for this invocation (overrides the "
-             f"{_IMPL_ENV} environment variable); every backend is "
-             "bit-identical, so this only affects wall-clock",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Resolved at parser-build time, not import time, so policies
@@ -1215,20 +1195,7 @@ def main(argv: list[str] | None = None) -> int:
         "submit": cmd_submit,
         "jobs": cmd_jobs,
     }[args.command]
-    if args.codec_impl is None:
-        return handler(args)
-    # Publish the choice through the environment so worker processes
-    # (campaign pools) inherit it, and restore afterwards: tests call
-    # main() in-process and must not leak backend selection.
-    saved = os.environ.get(_IMPL_ENV)
-    os.environ[_IMPL_ENV] = args.codec_impl
-    try:
-        return handler(args)
-    finally:
-        if saved is None:
-            os.environ.pop(_IMPL_ENV, None)
-        else:
-            os.environ[_IMPL_ENV] = saved
+    return handler(args)
 
 
 if __name__ == "__main__":

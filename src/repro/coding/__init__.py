@@ -20,12 +20,9 @@ lives in :mod:`~repro.coding.registry`; new codecs self-register with
 surface picks them up automatically.  Zero tables for repeated traces
 are served by the campaign-wide :mod:`~repro.coding.zerocache`.
 
-Every registered codec additionally carries a *backend slot*: the
-vectorised batched kernels (``impl="numpy"``, the default) are
-cross-validated bit-for-bit against the pure-Python oracle in
-:mod:`~repro.coding.reference` (``impl="reference"``), selected
-process-wide via ``REPRO_CODEC_IMPL`` or per call via
-:func:`~repro.coding.registry.codec_for`'s ``impl`` argument.
+Each registered codec has one implementation, a vectorised batched
+kernel.  The tests hold every kernel bit-for-bit to a per-element
+pure-Python reference kept in ``tests/codec_oracle.py``.
 """
 
 from .base import BlockShapeError, CodingScheme
@@ -49,25 +46,18 @@ from .pipeline import (
     line_zeros,
     precompute_line_zeros,
     raw_line_zeros,
-    scheme_for,
 )
 from .registry import (
-    DEFAULT_IMPL,
-    IMPL_ENV,
-    KNOWN_IMPLS,
     CodecInfo,
     NoCodecError,
-    active_impl,
     codec_for,
     codec_schemes,
     real_schemes,
-    register_backend,
     register_burst_format,
     register_codec,
     scheme_info,
     scheme_items,
     scheme_names,
-    unregister_backend,
     unregister_scheme,
 )
 from .transition import TransitionSignaling
@@ -99,23 +89,16 @@ __all__ = [
     "line_zeros",
     "precompute_line_zeros",
     "raw_line_zeros",
-    "scheme_for",
     "CodecInfo",
-    "DEFAULT_IMPL",
-    "IMPL_ENV",
-    "KNOWN_IMPLS",
     "NoCodecError",
-    "active_impl",
     "codec_for",
     "codec_schemes",
     "real_schemes",
-    "register_backend",
     "register_burst_format",
     "register_codec",
     "scheme_info",
     "scheme_items",
     "scheme_names",
-    "unregister_backend",
     "unregister_scheme",
     "ZeroTableCache",
     "global_cache",

@@ -21,7 +21,8 @@ Three views of each code are provided:
   or costed in one vectorised shot, without ever dropping into
   per-element Python.  The defaults here derive everything from
   ``encode_blocks``/``count_zeros``, so a minimal codec (or a
-  pure-Python reference backend) is automatically trace-capable;
+  pure-Python reference in the test oracle) is automatically
+  trace-capable;
   production codecs override ``count_zeros_bytes`` with byte-table
   kernels that never unpack to bits at all.
 """

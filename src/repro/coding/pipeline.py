@@ -26,8 +26,9 @@ campaign-wide :mod:`~repro.coding.zerocache`, so a campaign that
 replays one trace under many policies encodes each (trace, scheme)
 pair exactly once per process.
 
-``scheme_for`` and ``line_zeros`` are thin conveniences over the
-registry; burst lengths and latencies come from
+``line_zeros`` and ``encode_trace`` are thin conveniences over the
+registry; codecs come from :func:`~repro.coding.registry.codec_for`
+and burst lengths and latencies from
 :func:`~repro.coding.registry.scheme_info`.
 """
 
@@ -37,10 +38,8 @@ import numpy as np
 
 # Importing the codec modules is what populates the registry; pipeline
 # guarantees the built-in schemes are present regardless of how it was
-# reached.  ``reference`` must come after the codec modules: it attaches
-# the pure-Python oracle backends to the entries they register.
+# reached.
 from . import cafo, dbi, lwc, lwc_family, milc  # noqa: F401
-from . import reference  # noqa: F401
 from . import registry, zerocache
 from .bitops import zeros_in_bytes
 from .registry import LINE_BYTES, NoCodecError, beat_layout, check_lines
@@ -49,7 +48,6 @@ __all__ = [
     "LINE_BYTES",
     "NoCodecError",
     "beat_layout",
-    "scheme_for",
     "encode_trace",
     "line_zeros",
     "precompute_line_zeros",
@@ -88,16 +86,6 @@ registry.register_burst_format(
 )
 
 
-def scheme_for(name: str):
-    """Return the codec object registered under ``name``.
-
-    Raises ``KeyError`` for unknown schemes and :class:`NoCodecError`
-    (a ``KeyError`` subclass) for burst-format-only entries such as
-    ``bl12``/``bl14`` or ``raw``.
-    """
-    return registry.codec_for(name)
-
-
 def line_zeros(scheme: str, lines: np.ndarray) -> np.ndarray:
     """Zeros put on the bus per line when transmitted under ``scheme``.
 
@@ -108,24 +96,19 @@ def line_zeros(scheme: str, lines: np.ndarray) -> np.ndarray:
     return registry.scheme_info(scheme).line_zeros(lines)
 
 
-def encode_trace(
-    scheme: str, lines: np.ndarray, impl: str | None = None
-) -> np.ndarray:
+def encode_trace(scheme: str, lines: np.ndarray) -> np.ndarray:
     """Encode a whole trace of lines under ``scheme`` in one batched shot.
 
     Applies the scheme's Figure 12 layout (beat squares for MiLC/CAFO,
     line order for DBI/LWC) and runs the codec's ``encode_lines``
     kernel: ``(n, 64)`` uint8 lines in, ``(n, code_bits_per_line)``
-    uint8 bit rows out.  ``impl`` selects a specific backend
-    (``"reference"`` | ``"numpy"``, or one another package registered);
-    ``None`` uses the process-wide
-    :func:`~repro.coding.registry.active_impl`.  This is
-    what the ``coding.encode_trace.*`` benchmarks measure.
+    uint8 bit rows out.  This is what the ``coding.encode_trace.*``
+    benchmarks measure.
     """
     info = registry.scheme_info(scheme)
     lines = check_lines(lines)
     arranged = beat_layout(lines) if info.layout == "beat" else lines
-    return info.codec_impl(impl).encode_lines(arranged)
+    return info.codec.encode_lines(arranged)
 
 
 def precompute_line_zeros(
@@ -148,16 +131,10 @@ def precompute_line_zeros(
     may be ``False`` (bypass), ``True`` (the process-global cache), or
     a private :class:`~repro.coding.zerocache.ZeroTableCache`.  Cached
     tables are read-only arrays.
-
-    Cache keys are ``(trace digest, scheme)`` and deliberately do *not*
-    include the active codec backend: every backend of a scheme is
-    required to be bit-identical (see ``register_backend``), so the
-    tables — and everything downstream, including campaign cache
-    entries — are byte-identical whatever ``REPRO_CODEC_IMPL`` says.
     """
     lines = check_lines(lines)
     if cache is True:
-        cache = zerocache.global_cache() if zerocache.cache_enabled() else None
+        cache = zerocache.global_cache()
     elif cache is False:
         cache = None
     if cache is None:

@@ -37,95 +37,37 @@ cache-line order; ``"beat"`` codecs (MiLC, CAFO) operate on the 8x8
 squares that appear when the line is rearranged into bus-beat order,
 which is where the spatial correlation they exploit lives.
 
-Every codec entry additionally carries a *backend slot*: a mapping from
-implementation name (``"reference"`` | ``"numpy"``, or a name another
-package registers) to a factory for that implementation.
-``register_codec`` installs the decorated factory as the entry's
-default backend; alternative implementations self-register afterwards::
-
-    @register_backend("dbi", "reference")
-    class ReferenceDBI(CodingScheme):
-        ...  # per-element Python oracle, bit-identical to the default
-
-The active backend is chosen per process via the ``REPRO_CODEC_IMPL``
-environment variable (the CLI's ``--codec-impl`` flag sets it), and a
-scheme with no backend registered under the requested name silently
-falls back to its default — an impl that another package registers for
-some schemes can be selected process-wide without failing on the rest,
-exactly like ``HAVE_NATIVE_POPCOUNT`` gating in
-:mod:`repro.coding.bitops`.  All backends of a scheme must be
-bit-identical; the cross-validation suite in
-``tests/coding/test_backend_equivalence.py`` enforces it, which is what
-lets zero tables (and therefore campaign cache entries) stay
-byte-identical no matter which backend produced them.
+Every codec entry has exactly one implementation: the vectorised
+kernel its module registers.  The per-element pure-Python references
+that hold the kernels to bit-exact agreement live with the tests
+(``tests/codec_oracle.py``), never on the run path.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_IMPL",
-    "IMPL_ENV",
-    "KNOWN_IMPLS",
     "LINE_BYTES",
     "CodecInfo",
     "NoCodecError",
-    "active_impl",
     "beat_layout",
     "check_lines",
     "codec_for",
     "codec_schemes",
     "real_schemes",
-    "register_backend",
     "register_burst_format",
     "register_codec",
     "scheme_info",
     "scheme_items",
     "scheme_names",
-    "unregister_backend",
     "unregister_scheme",
 ]
 
 LINE_BYTES = 64
-
-# Backend (implementation) selection -----------------------------------
-#
-# ``reference`` — pure-Python, per-element oracle (slow, obviously
-#     correct; what the property suites cross-validate against).
-# ``numpy``     — the vectorised batched kernels (default).
-IMPL_ENV = "REPRO_CODEC_IMPL"
-KNOWN_IMPLS = ("reference", "numpy")
-DEFAULT_IMPL = "numpy"
-
-# Impl names introduced by other packages' ``register_backend`` calls;
-# they become valid ``REPRO_CODEC_IMPL`` values alongside KNOWN_IMPLS,
-# and schemes without one fall back to their default backend.
-_EXTRA_IMPLS: set[str] = set()
-
-
-def _validate_impl(impl: str) -> str:
-    if impl in KNOWN_IMPLS or impl in _EXTRA_IMPLS:
-        return impl
-    known = sorted(set(KNOWN_IMPLS) | _EXTRA_IMPLS)
-    raise ValueError(
-        f"unknown codec impl {impl!r} (from {IMPL_ENV} or --codec-impl); "
-        f"known: {known}"
-    )
-
-
-def active_impl() -> str:
-    """The backend name selected for this process.
-
-    Reads ``REPRO_CODEC_IMPL`` on every call (so tests can monkeypatch
-    it) and validates against the known implementation names; empty or
-    unset means :data:`DEFAULT_IMPL`.
-    """
-    return _validate_impl(os.environ.get(IMPL_ENV, "").strip() or DEFAULT_IMPL)
 
 
 class NoCodecError(KeyError):
@@ -180,20 +122,12 @@ class CodecInfo:
         burst_length`` capacity invariant.
     factory:
         Zero-argument callable building the :class:`CodingScheme`
-        instance for the *default* backend; ``None`` for
-        burst-format-only entries.
+        instance; ``None`` for burst-format-only entries.
     count_fn:
         Optional ``(n, 64) lines -> (n,) zeros`` override used instead
         of a codec (how ``raw`` counts uncoded zeros).
     description:
         One line for ``repro list`` and generated documentation.
-    default_impl:
-        Backend name the registering module's ``factory`` implements
-        (``"numpy"`` for every shipped codec) — also the automatic
-        fallback when the requested impl has no registration here.
-    backends:
-        Mutable impl-name -> factory mapping.  Seeded with
-        ``{default_impl: factory}``; :func:`register_backend` adds more.
     """
 
     name: str
@@ -204,20 +138,13 @@ class CodecInfo:
     factory: Optional[Callable] = None
     count_fn: Optional[Callable] = None
     description: str = ""
-    default_impl: str = DEFAULT_IMPL
-    # Mutable cells so the dataclass can stay frozen (their contents are
-    # not part of identity): the backend slot, and per-impl lazily built
-    # codec singletons.
-    backends: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
+    # Mutable cell holding the lazily built codec, so the dataclass can
+    # stay frozen.  Not an __init__ field: an entry derived with
+    # ``dataclasses.replace`` gets a fresh, empty cell of its own.
+    _instance: list = field(
+        default_factory=list, init=False, repr=False, compare=False,
+        hash=False,
     )
-    _cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.factory is not None and self.default_impl not in self.backends:
-            self.backends[self.default_impl] = self.factory
 
     @property
     def bus_cycles(self) -> int:
@@ -231,62 +158,27 @@ class CodecInfo:
 
     @property
     def codec(self):
-        """The codec instance for the :func:`active_impl` backend.
+        """The codec instance, built lazily from ``factory`` on first use.
 
-        Built lazily, once per backend; :class:`NoCodecError` if the
-        entry is burst-format-only.
+        :class:`NoCodecError` if the entry is burst-format-only.
         """
-        return self.codec_impl(None)
-
-    def codec_impl(self, impl: Optional[str] = None):
-        """The codec instance for a specific backend.
-
-        ``impl=None`` means :func:`active_impl`.  A scheme without a
-        registration under the requested impl falls back to its
-        ``default_impl`` instead of failing; the instance is cached
-        under the *resolved* impl, so the fallback shares the default's
-        singleton.
-        """
-        if self.factory is None:
-            raise NoCodecError(
-                f"no codec registered for scheme {self.name!r}; it is a "
-                "burst-format-only entry"
-            )
-        impl = _validate_impl(impl) if impl else active_impl()
-        resolved = impl if impl in self.backends else self.default_impl
-        instance = self._cache.get(resolved)
-        if instance is None:
-            instance = self.backends[resolved]()
-            self._cache[resolved] = instance
-        return instance
+        if not self._instance:
+            if self.factory is None:
+                raise NoCodecError(
+                    f"no codec registered for scheme {self.name!r}; it is "
+                    "a burst-format-only entry"
+                )
+            self._instance.append(self.factory())
+        return self._instance[0]
 
     def line_zeros(self, lines: np.ndarray) -> np.ndarray:
         """Zeros on the bus per ``(n, 64)`` line under this scheme."""
         lines = check_lines(lines)
         if self.count_fn is not None:
             return self.count_fn(lines)
-        if self.factory is None:
-            raise NoCodecError(
-                f"no codec registered for scheme {self.name!r}; it is a "
-                "burst-format-only entry (Figure 20 sweep point)"
-            )
-        arranged = beat_layout(lines) if self.layout == "beat" else lines
         codec = self.codec
-        counter = getattr(codec, "line_zeros", None) or getattr(
-            codec, "count_zeros_bytes", None
-        )
-        if counter is not None:
-            # The kernel contract: every CodingScheme inherits a
-            # trace-level line_zeros (byte-table fast paths override
-            # count_zeros_bytes, which line_zeros dispatches to).
-            return counter(arranged)
-        # Generic fallback for duck-typed codecs that predate the kernel
-        # contract: unpack to bits, count per block, sum per line.
-        from .bitops import bytes_to_bits
-
-        bits = bytes_to_bits(arranged)
-        blocks = bits.reshape(bits.shape[0], -1, codec.data_bits)
-        return codec.count_zeros(blocks).sum(axis=-1, dtype=np.int64)
+        arranged = beat_layout(lines) if self.layout == "beat" else lines
+        return codec.line_zeros(arranged)
 
 
 _REGISTRY: dict[str, CodecInfo] = {}
@@ -351,59 +243,6 @@ def register_burst_format(
     return info
 
 
-def register_backend(scheme: str, impl: str):
-    """Decorator attaching an alternative backend to a registered codec.
-
-    ``impl`` is the implementation name the backend answers to —
-    one of :data:`KNOWN_IMPLS`, or a new name (which then becomes a
-    valid ``REPRO_CODEC_IMPL`` value).  The decorated object is a
-    zero-argument factory (usually the class itself) producing an
-    instance that must be *bit-identical* to the scheme's default
-    backend on every input; the cross-validation property suite holds it
-    to that.  Registration is last-wins (so module reloads are
-    harmless) and clears any cached instance for the impl::
-
-        @register_backend("dbi", "reference")
-        class ReferenceDBI(CodingScheme):
-            ...
-
-    Raises :class:`NoCodecError` when ``scheme`` is burst-format-only
-    (there is no default codec to be equivalent to).
-    """
-    if not impl or not impl.isidentifier():
-        raise ValueError(f"impl must be an identifier, got {impl!r}")
-
-    def deco(obj):
-        info = scheme_info(scheme)
-        if info.factory is None:
-            raise NoCodecError(
-                f"scheme {scheme!r} is burst-format-only; backends can "
-                "only be attached to codec entries"
-            )
-        info.backends[impl] = obj
-        info._cache.pop(impl, None)
-        _EXTRA_IMPLS.add(impl)
-        return obj
-
-    return deco
-
-
-def unregister_backend(scheme: str, impl: str) -> None:
-    """Detach a backend (tests and interactive experimentation).
-
-    The scheme's default backend cannot be removed — drop the whole
-    entry with :func:`unregister_scheme` instead.
-    """
-    info = scheme_info(scheme)
-    if impl == info.default_impl:
-        raise ValueError(
-            f"{impl!r} is the default backend of {scheme!r}; use "
-            "unregister_scheme to drop the entry"
-        )
-    info.backends.pop(impl, None)
-    info._cache.pop(impl, None)
-
-
 def _register(info: CodecInfo) -> None:
     if info.burst_length < 1:
         raise ValueError(f"{info.name}: burst_length must be positive")
@@ -443,14 +282,13 @@ def scheme_info(name: str) -> CodecInfo:
         ) from None
 
 
-def codec_for(name: str, impl: Optional[str] = None):
-    """The codec instance for ``name`` (optionally a specific backend).
+def codec_for(name: str):
+    """The codec instance registered under ``name``.
 
-    ``impl=None`` selects the process-wide :func:`active_impl`.  Raises
-    ``KeyError`` for unknown names and :class:`NoCodecError` (a
+    Raises ``KeyError`` for unknown names and :class:`NoCodecError` (a
     ``KeyError`` subclass) for registered burst-format-only entries.
     """
-    return scheme_info(name).codec_impl(impl)
+    return scheme_info(name).codec
 
 
 def scheme_names() -> tuple[str, ...]:

@@ -18,36 +18,28 @@ already makes repeat campaigns free, and an in-memory table can never
 survive a codec edit.
 
 Cached tables are marked read-only before they are shared between runs;
-consumers only ever index them.  ``REPRO_NO_ZERO_CACHE=1`` disables the
-cache globally (benchmarking the uncached path, or paranoia).
+consumers only ever index them.  ``precompute_line_zeros(cache=False)``
+is the uncached path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 
 import numpy as np
 
 __all__ = [
     "ZeroTableCache",
-    "cache_enabled",
     "global_cache",
     "lines_digest",
     "reset_global_cache",
 ]
 
-DISABLE_ENV = "REPRO_NO_ZERO_CACHE"
-
 # Each entry is one int64 per line — a few hundred KB per (trace,
 # scheme) at experiment scale.  The bound exists so a pathological
 # campaign over thousands of distinct traces cannot grow without limit.
 DEFAULT_MAX_ENTRIES = 256
-
-
-def cache_enabled() -> bool:
-    return not os.environ.get(DISABLE_ENV)
 
 
 def lines_digest(lines: np.ndarray) -> str:

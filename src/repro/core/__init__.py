@@ -5,7 +5,6 @@ from .decision import MiLCOnlyPolicy, MiLPolicy
 from .framework import (
     RunSummary,
     energy_params_for,
-    make_policy_factory,
     run,
     system_energy_params_for,
 )
@@ -24,14 +23,12 @@ __all__ = [
     "MiLConfig",
     "MiLCOnlyPolicy",
     "MiLPolicy",
-    "POLICIES",
     "PolicyContext",
     "PolicyInfo",
     "RunSummary",
     "energy_params_for",
     "get_policy",
     "known_policy",
-    "make_policy_factory",
     "policy_names",
     "policy_table",
     "register_policy",
@@ -39,10 +36,3 @@ __all__ = [
     "system_energy_params_for",
     "unregister_policy",
 ]
-
-
-def __getattr__(name: str):
-    # Live view: policies registered after import stay visible.
-    if name == "POLICIES":
-        return policy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from ..analysis.metrics import (
     idle_gap_histogram,
     pending_split,
@@ -36,28 +34,12 @@ from ..system.machine import NIAGARA_SERVER, SNAPDRAGON_MOBILE, SystemConfig
 from ..system.simulator import simulate
 from ..workloads.benchmarks import DEFAULT_ACCESSES_PER_CORE, build_trace
 from .decision import MiLPolicy
-from .policies import (
-    get_policy,
-    make_factory,
-    policy_names,
-    policy_table,
-    sent_schemes,
-)
+from .policies import get_policy, make_factory, policy_table, sent_schemes
 
-__all__ = ["POLICIES", "RunSummary", "run", "run_spec",
-           "make_policy_factory", "energy_params_for",
+__all__ = ["RunSummary", "run", "run_spec", "energy_params_for",
            "system_energy_params_for"]
 
 __doc__ = (__doc__ or "") + policy_table() + "\n"
-
-
-def __getattr__(name: str):
-    # ``POLICIES`` is a live view of the policy registry, so policies
-    # registered after import (one-file extensions) are visible to
-    # legacy consumers of the tuple too.
-    if name == "POLICIES":
-        return policy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def energy_params_for(config: SystemConfig):
@@ -81,20 +63,6 @@ def system_energy_params_for(config: SystemConfig):
     if config.timing.name == LPDDR3_ENERGY.name:
         return MOBILE_SYSTEM_ENERGY
     raise KeyError(f"no system energy parameters for {config.name!r}")
-
-
-def make_policy_factory(
-    policy: str,
-    zeros_by_scheme: dict[str, np.ndarray] | None = None,
-    lookahead: int | None = None,
-    mil_overrides: dict | None = None,
-):
-    """Build a per-channel policy factory for :func:`simulate`.
-
-    Thin alias of :func:`repro.core.policies.make_factory`, kept under
-    its historical name.
-    """
-    return make_factory(policy, zeros_by_scheme, lookahead, mil_overrides)
 
 
 @dataclass
@@ -188,9 +156,7 @@ def run(
         trace.line_data, sent_schemes(policy, mil_overrides),
         digest=trace.line_digest,
     )
-    factory = make_policy_factory(
-        policy, zeros_by_scheme, lookahead, mil_overrides
-    )
+    factory = make_factory(policy, zeros_by_scheme, lookahead, mil_overrides)
 
     result = simulate(
         trace, config, factory, telemetry=telemetry,

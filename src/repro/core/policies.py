@@ -1,10 +1,8 @@
 """The policy registry: every decision policy declared in one place.
 
 A *policy* names a controller-side decision procedure (which coding
-scheme does each burst ship with?).  Historically the set lived in a
-``POLICIES`` tuple plus an if-chain in ``make_policy_factory``; adding
-one policy meant editing both, the module docstring table, and the CLI
-choices.  Now a policy is one :func:`register_policy` call::
+scheme does each burst ship with?).  A policy is one
+:func:`register_policy` call::
 
     @register_policy("mil-lwc14", schemes=("milc", "lwc14"),
                      mil_family=True,
@@ -13,9 +11,9 @@ choices.  Now a policy is one :func:`register_policy` call::
         config = ctx.mil_config(long_scheme="lwc14")
         return lambda: MiLPolicy(config, ctx.zeros_by_scheme)
 
-and ``POLICIES``, the framework docstring table, CLI ``--policy``
-choices, and :class:`~repro.campaign.spec.RunSpec` validation all
-derive from the registry.
+and :func:`policy_names`, the framework docstring table, CLI
+``--policy`` choices, and :class:`~repro.campaign.spec.RunSpec`
+validation all derive from the registry.
 
 The builder receives a :class:`PolicyContext` and returns the
 *per-channel factory* the simulator calls once per memory controller.

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..coding.pipeline import precompute_line_zeros
-from ..core.framework import energy_params_for, make_policy_factory
+from ..core.framework import energy_params_for
+from ..core.policies import make_factory, sent_schemes
 from ..energy.dram_power import DramEnergyModel
 from ..system.machine import NIAGARA_SERVER
 from ..system.simulator import simulate
@@ -26,8 +27,6 @@ from .runner import EXPERIMENT_ACCESSES_PER_CORE
 
 __all__ = ["run_experiment"]
 
-_SCHEMES = ("raw", "dbi", "milc", "3lwc", "cafo2", "cafo4")
-
 
 def run_experiment(
     accesses_per_core: int = EXPERIMENT_ACCESSES_PER_CORE,
@@ -35,6 +34,8 @@ def run_experiment(
     params = energy_params_for(NIAGARA_SERVER)
     plain = DramEnergyModel(params)
     powerdown = DramEnergyModel(params, fast_powerdown=True)
+    # Only the tables the two policies can send (dbi; milc and 3lwc).
+    schemes = tuple(dict.fromkeys(sent_schemes("dbi") + sent_schemes("mil")))
 
     rows = []
     savings_plain = []
@@ -42,12 +43,10 @@ def run_experiment(
     for bench in BENCHMARK_ORDER:
         trace = build_trace(bench, NIAGARA_SERVER,
                             accesses_per_core=accesses_per_core)
-        zeros = precompute_line_zeros(trace.line_data, _SCHEMES,
+        zeros = precompute_line_zeros(trace.line_data, schemes,
                                       digest=trace.line_digest)
-        base = simulate(trace, NIAGARA_SERVER,
-                        make_policy_factory("dbi", zeros))
-        mil = simulate(trace, NIAGARA_SERVER,
-                       make_policy_factory("mil", zeros))
+        base = simulate(trace, NIAGARA_SERVER, make_factory("dbi", zeros))
+        mil = simulate(trace, NIAGARA_SERVER, make_factory("mil", zeros))
 
         s_plain = 1 - (
             plain.evaluate(mil, zeros).total

@@ -1,8 +1,9 @@
 """End-to-end ``repro bench`` CLI behaviour.
 
 Runs use a single cheap benchmark (``campaign.cache_key``) with
-``--repeats 1 --warmup 0`` so the whole file stays fast; protocol
-correctness is covered by the unit tests.
+``--repeats 1 --warmup 0`` so the whole file stays fast (only the
+compare gate's baseline takes the minimum of five warm samples);
+protocol correctness is covered by the unit tests.
 """
 
 import json
@@ -13,6 +14,7 @@ from repro.bench import load_report
 from repro.cli import main
 
 FAST = ["--repeats", "1", "--warmup", "0", "-k", "campaign.cache_key"]
+WARM = ["--repeats", "5", "--warmup", "1", "-k", "campaign.cache_key"]
 
 
 def _bench(*argv):
@@ -69,7 +71,10 @@ class TestCompareGate:
 
     def test_injected_2x_slowdown_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "now.json"
-        assert _bench(*FAST, "--out", str(out)) == 0
+        # The baseline comes from the minimum of several warm samples: a
+        # single cold sample can run ~2x its warm time, and halving it
+        # then injects no regression at all.
+        assert _bench(*WARM, "--out", str(out)) == 0
         # A baseline claiming everything used to run twice as fast makes
         # the current run a 2x regression, far beyond the 20% gate.
         fast_past = self._baseline_from(out, tmp_path, scale=0.5)

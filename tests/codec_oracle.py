@@ -1,38 +1,54 @@
-"""Pure-Python reference backends — the codec correctness oracle.
+"""The equivalence oracle for the codecs: per-element Python references.
 
-Every class here re-derives its code directly from the paper's prose,
-one element at a time, in plain Python: nibble pairs are classified with
-``if`` chains, MiLC rows pick candidates with ``min()``, CAFO passes
-walk 8x8 squares with nested loops.  Nothing is shared with the
-vectorised kernels in the sibling modules beyond the
+Production has one implementation per registered scheme, a vectorised
+kernel.  This module keeps a second, obviously-correct version of each,
+for tests to compare the kernels against.  Every class here re-derives
+its code directly from the paper's prose, one element at a time, in
+plain Python: nibble pairs are classified with ``if`` chains, MiLC rows
+pick candidates with ``min()``, CAFO passes walk 8x8 squares with
+nested loops.  Nothing is shared with the kernels beyond the
 :class:`~repro.coding.base.CodingScheme` interface, which is the point:
-the hypothesis suite in ``tests/coding/test_backend_equivalence.py``
-cross-validates the two implementations bit-for-bit, so a vectorisation
-bug in a batched kernel cannot hide behind its own zero table.
+``tests/coding/test_backend_equivalence.py`` holds the two bit-for-bit
+to each other, so a vectorisation bug in a kernel cannot hide behind
+its own zero table.
 
-The backends register themselves under ``impl="reference"``; select
-them process-wide with ``REPRO_CODEC_IMPL=reference`` (or the CLI's
-``--codec-impl reference``).  They are orders of magnitude slower than
-the numpy kernels — the batched-codec benchmark gate quantifies the
-gap — but they must produce byte-identical zero tables, which is what
-keeps campaign cache entries backend-independent.
+* :data:`REFERENCE_FACTORIES` — one reference factory per registered
+  codec scheme;
+* :data:`KERNEL_FACTORIES` — the registry's kernel factories, captured
+  when this module is imported, before any swap;
+* :func:`reference_codecs` — swaps the references into
+  ``repro.coding.registry`` for a ``with`` block, so ``codec_for``,
+  ``precompute_line_zeros`` and ``run_spec`` run on the oracle
+  unchanged.  ``pytest --codec-oracle`` runs the whole suite inside it.
+
+The references are orders of magnitude slower than the kernels (the
+gate in ``benchmarks/test_batched_codec_speedup.py`` measures the gap),
+but they must produce byte-identical zero tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
-from .base import CodingScheme
-from .registry import register_backend
+from repro.coding import registry
+from repro.coding.base import CodingScheme
+from repro.coding.zerocache import reset_global_cache
 
 __all__ = [
-    "ReferenceDBI",
-    "ReferenceThreeLWC",
-    "ReferenceMiLC",
+    "KERNEL_FACTORIES",
+    "REFERENCE_FACTORIES",
     "ReferenceCAFO",
+    "ReferenceDBI",
     "ReferenceKLWC",
+    "ReferenceMiLC",
+    "ReferenceThreeLWC",
+    "reference_codecs",
+    "swapped_codecs",
 ]
 
 _POPCOUNT = [bin(v).count("1") for v in range(256)]
@@ -486,12 +502,43 @@ class ReferenceKLWC(CodingScheme):
         return np.array(out, dtype=np.int64).reshape(lead)
 
 
-# ----------------------------------------------------------------------
-# Self-registration: one reference backend per registered codec scheme.
-# ----------------------------------------------------------------------
-register_backend("dbi", "reference")(ReferenceDBI)
-register_backend("3lwc", "reference")(ReferenceThreeLWC)
-register_backend("milc", "reference")(ReferenceMiLC)
-register_backend("cafo2", "reference")(lambda: ReferenceCAFO(2))
-register_backend("cafo4", "reference")(lambda: ReferenceCAFO(4))
-register_backend("lwc12", "reference")(lambda: ReferenceKLWC(8, 12, 3))
+REFERENCE_FACTORIES = {
+    "dbi": ReferenceDBI,
+    "3lwc": ReferenceThreeLWC,
+    "milc": ReferenceMiLC,
+    "cafo2": lambda: ReferenceCAFO(2),
+    "cafo4": lambda: ReferenceCAFO(4),
+    "lwc12": lambda: ReferenceKLWC(8, 12, 3),
+}
+
+KERNEL_FACTORIES = {
+    name: registry.scheme_info(name).factory for name in REFERENCE_FACTORIES
+}
+
+
+@contextmanager
+def swapped_codecs(factories):
+    """Serve each scheme in ``factories`` from its factory for the block.
+
+    Each swapped registry entry is a copy of the registered one with its
+    own, empty instance cell, so the block builds its own codecs and the
+    entries restored afterwards still hold the singletons they held
+    before.  The process-wide zero-table cache is emptied on entry and
+    on exit: a table one implementation built is never served to the
+    other.
+    """
+    swapped = {
+        name: dataclasses.replace(registry.scheme_info(name), factory=factory)
+        for name, factory in factories.items()
+    }
+    reset_global_cache()
+    try:
+        with mock.patch.dict(registry._REGISTRY, swapped):
+            yield
+    finally:
+        reset_global_cache()
+
+
+def reference_codecs():
+    """Run every registered codec on its reference for a ``with`` block."""
+    return swapped_codecs(REFERENCE_FACTORIES)

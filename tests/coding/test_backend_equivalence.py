@@ -1,18 +1,21 @@
-"""Backends are interchangeable: reference and numpy agree bit-exactly.
+"""Every kernel agrees bit-exactly with its reference in the oracle.
 
-The backend slot (``repro.coding.registry``) only works if every
-implementation of a scheme is indistinguishable from the outside —
-same codewords, same zero counts, same decodes.  The pure-Python
-oracle in ``repro.coding.reference`` was written independently from
-the vectorised kernels precisely so this suite can catch a bug in
-either: hypothesis sweeps arbitrary payloads through both backends of
-every registered scheme and requires bit-exact agreement on every
-public surface, including decoding each other's codewords.
+Each registered scheme has one implementation in ``src/``, a vectorised
+kernel.  The per-element pure-Python references in
+``tests/codec_oracle.py`` were written independently from the kernels
+precisely so this suite can catch a bug in either: hypothesis sweeps
+arbitrary payloads through both implementations of every registered
+scheme and requires bit-exact agreement on every public surface,
+including decoding each other's codewords.
 
-The zero-table cache tests pin the consequence the campaign layer
-relies on: tables (and therefore cache entries and run summaries) are
-byte-identical whatever ``REPRO_CODEC_IMPL`` says, and cache keys do
-not mention the backend at all.
+Both sides come from the oracle's factory tables, never from the
+registry: under ``--codec-oracle`` the registry itself serves the
+references, and the kernel would then be compared with itself.
+
+The zero-table tests pin the consequence the campaign layer relies on:
+tables (and therefore cache entries and run summaries) are
+byte-identical whichever implementation built them, and cache keys do
+not mention the implementation at all.
 """
 
 import numpy as np
@@ -22,11 +25,16 @@ from hypothesis import strategies as st
 
 from repro.coding import pipeline, registry, zerocache
 from repro.coding.bitops import bytes_to_bits
+from tests.codec_oracle import (
+    KERNEL_FACTORIES,
+    REFERENCE_FACTORIES,
+    reference_codecs,
+    swapped_codecs,
+)
 
 MAX_EXAMPLES = 25
 
-# Schemes that carry a reference backend (all registered codecs do).
-SCHEMES = sorted(registry.codec_schemes())
+SCHEMES = sorted(REFERENCE_FACTORIES)
 
 # Arbitrary whole cache lines: 1-4 lines of 64 bytes.
 line_payloads = st.binary(min_size=64, max_size=256).map(
@@ -37,17 +45,21 @@ line_payloads = st.binary(min_size=64, max_size=256).map(
 
 
 def _backends(scheme):
-    info = registry.scheme_info(scheme)
-    ref = info.codec_impl("reference")
-    fast = info.codec_impl("numpy")
+    ref = REFERENCE_FACTORIES[scheme]()
+    fast = KERNEL_FACTORIES[scheme]()
     assert type(ref) is not type(fast), (
-        f"{scheme}: reference backend resolves to the numpy codec"
+        f"{scheme}: the reference resolves to the kernel's class"
     )
     return ref, fast
 
 
 def _blocks(lines, data_bits):
     return bytes_to_bits(lines).reshape(-1, data_bits)
+
+
+def test_every_codec_has_a_reference():
+    # A codec registered without a reference fails here, not silently.
+    assert sorted(REFERENCE_FACTORIES) == sorted(registry.codec_schemes())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -75,8 +87,8 @@ class TestBackendsAgree:
     @given(lines=line_payloads)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_cross_decode_round_trips(self, scheme, lines):
-        # Each backend must decode the *other's* codewords: same code,
-        # not merely two self-consistent codes.
+        # Each implementation must decode the *other's* codewords: same
+        # code, not merely two self-consistent codes.
         ref, fast = _backends(scheme)
         blocks = _blocks(lines, fast.data_bits)
         assert np.array_equal(
@@ -89,10 +101,11 @@ class TestBackendsAgree:
     def test_encode_trace_matches_across_impls(self, scheme):
         rng = np.random.default_rng(2015)
         lines = rng.integers(0, 256, size=(16, 64), dtype=np.uint8)
-        assert np.array_equal(
-            pipeline.encode_trace(scheme, lines, impl="reference"),
-            pipeline.encode_trace(scheme, lines, impl="numpy"),
-        )
+        with reference_codecs():
+            ref_bits = pipeline.encode_trace(scheme, lines)
+        with swapped_codecs(KERNEL_FACTORIES):
+            fast_bits = pipeline.encode_trace(scheme, lines)
+        assert np.array_equal(ref_bits, fast_bits)
 
 
 class TestZeroTablesImplIndependent:
@@ -100,41 +113,73 @@ class TestZeroTablesImplIndependent:
         rng = np.random.default_rng(80)
         return rng.integers(0, 256, size=(32, 64), dtype=np.uint8)
 
-    def test_tables_byte_identical_across_impls(self, monkeypatch):
+    def test_tables_byte_identical_across_impls(self):
         lines = self._lines()
         tables = {}
-        for impl in ("reference", "numpy"):
-            monkeypatch.setenv(registry.IMPL_ENV, impl)
-            assert registry.active_impl() == impl
-            tables[impl] = pipeline.precompute_line_zeros(
-                lines, tuple(SCHEMES), cache=False
-            )
+        for impl, factories in (("reference", REFERENCE_FACTORIES),
+                                ("kernel", KERNEL_FACTORIES)):
+            with swapped_codecs(factories):
+                tables[impl] = pipeline.precompute_line_zeros(
+                    lines, tuple(SCHEMES), cache=False
+                )
         for scheme in SCHEMES:
-            ref_t, fast_t = tables["reference"][scheme], tables["numpy"][scheme]
+            ref_t, fast_t = tables["reference"][scheme], tables["kernel"][scheme]
             assert ref_t.dtype == fast_t.dtype
             assert ref_t.tobytes() == fast_t.tobytes()
 
-    def test_cache_keys_do_not_mention_the_backend(self, monkeypatch):
-        # Populate the cache under one backend, read it under the other:
-        # the second precompute must be pure hits (the same read-only
-        # array objects), proving keys are (digest, scheme) only.
+    def test_cache_keys_do_not_mention_the_backend(self):
+        # Populate the cache under one implementation, read it under the
+        # other: the second precompute must be pure hits (the same
+        # read-only array objects), proving keys are (digest, scheme).
         lines = self._lines()
         cache = zerocache.ZeroTableCache()
         digest = zerocache.lines_digest(lines)
 
-        monkeypatch.setenv(registry.IMPL_ENV, "reference")
-        first = pipeline.precompute_line_zeros(
-            lines, ("dbi", "milc"), digest=digest, cache=cache
-        )
-        monkeypatch.setenv(registry.IMPL_ENV, "numpy")
-        second = pipeline.precompute_line_zeros(
-            lines, ("dbi", "milc"), digest=digest, cache=cache
-        )
+        with reference_codecs():
+            first = pipeline.precompute_line_zeros(
+                lines, ("dbi", "milc"), digest=digest, cache=cache
+            )
+        with swapped_codecs(KERNEL_FACTORIES):
+            second = pipeline.precompute_line_zeros(
+                lines, ("dbi", "milc"), digest=digest, cache=cache
+            )
         for scheme in ("dbi", "milc"):
             assert second[scheme] is first[scheme]
 
-    @pytest.mark.parametrize("impl", ["cython", "native"])
-    def test_unknown_impl_env_rejected(self, monkeypatch, impl):
-        monkeypatch.setenv(registry.IMPL_ENV, impl)
-        with pytest.raises(ValueError):
-            registry.active_impl()
+
+def _is_reference(scheme, codec):
+    return type(codec) is type(REFERENCE_FACTORIES[scheme]())
+
+
+class TestReferenceCodecs:
+    def test_block_serves_the_references(self):
+        with reference_codecs():
+            for scheme in SCHEMES:
+                assert _is_reference(scheme, registry.codec_for(scheme))
+
+    def test_block_restores_the_same_instances(self):
+        before = {s: registry.codec_for(s) for s in SCHEMES}
+        with reference_codecs():
+            inside = {s: registry.codec_for(s) for s in SCHEMES}
+        for scheme in SCHEMES:
+            assert registry.codec_for(scheme) is before[scheme]
+            assert inside[scheme] is not before[scheme]
+
+    def test_global_zero_cache_is_empty_on_entry_and_exit(self):
+        lines = np.arange(64 * 4, dtype=np.uint8).reshape(4, 64)
+        cache = zerocache.global_cache()
+        zerocache.reset_global_cache()
+        pipeline.precompute_line_zeros(lines, ("dbi",))
+        assert len(cache) == 1
+        with reference_codecs():
+            assert len(cache) == 0
+            pipeline.precompute_line_zeros(lines, ("dbi",))
+            assert len(cache) == 1
+        assert len(cache) == 0
+
+    def test_oracle_leg_serves_every_reference(self, request):
+        # The CI oracle leg must not run the kernels silently.
+        if not request.config.getoption("--codec-oracle"):
+            pytest.skip("only meaningful under --codec-oracle")
+        for scheme in registry.codec_schemes():
+            assert _is_reference(scheme, registry.codec_for(scheme)), scheme

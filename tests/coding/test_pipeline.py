@@ -5,10 +5,10 @@ import pytest
 
 from repro.coding import (
     LINE_BYTES,
+    codec_for,
     line_zeros,
     precompute_line_zeros,
     raw_line_zeros,
-    scheme_for,
     scheme_info,
     scheme_names,
 )
@@ -37,9 +37,9 @@ class TestBurstFormats:
         assert scheme_info("cafo4").extra_latency == 4
 
     def test_scheme_registry(self):
-        assert scheme_for("milc").name == "milc"
+        assert codec_for("milc").name == "milc"
         with pytest.raises(KeyError):
-            scheme_for("nonsense")
+            codec_for("nonsense")
 
 
 class TestLineZeros:

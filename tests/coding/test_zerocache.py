@@ -1,13 +1,11 @@
-"""The campaign-wide zero-table cache: correct, bounded, and optional."""
+"""The campaign-wide zero-table cache: correct, bounded, and bypassable."""
 
 import numpy as np
 import pytest
 
 from repro.coding.pipeline import line_zeros, precompute_line_zeros
 from repro.coding.zerocache import (
-    DISABLE_ENV,
     ZeroTableCache,
-    cache_enabled,
     global_cache,
     lines_digest,
     reset_global_cache,
@@ -93,13 +91,13 @@ class TestCacheBehaviour:
         assert cache.get("digest0", "dbi") is None  # evicted, oldest
         assert cache.get("digest2", "dbi") is not None
 
-    def test_env_kill_switch(self, lines, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert not cache_enabled()
-        first = precompute_line_zeros(lines, ("dbi",))
-        second = precompute_line_zeros(lines, ("dbi",))
+    def test_uncached_path_bypasses_the_global_cache(self, lines):
+        first = precompute_line_zeros(lines, ("dbi",), cache=False)
+        second = precompute_line_zeros(lines, ("dbi",), cache=False)
         assert first["dbi"] is not second["dbi"]
-        assert global_cache().stats()["entries"] == 0
+        assert np.array_equal(first["dbi"], second["dbi"])
+        assert global_cache().stats() == {"entries": 0, "hits": 0,
+                                          "misses": 0}
 
 
 class TestTraceIntegration:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import POLICIES, RunSummary, make_policy_factory, run
+from repro.core import RunSummary, policy_names, run
+from repro.core.policies import make_factory
 from repro.core.framework import energy_params_for, system_energy_params_for
 from repro.system import NIAGARA_SERVER, SNAPDRAGON_MOBILE
 
@@ -82,14 +83,14 @@ class TestPolicyEffects:
 
 class TestFactories:
     def test_all_policies_constructible(self):
-        for policy in POLICIES:
-            factory = make_policy_factory(policy)
+        for policy in policy_names():
+            factory = make_factory(policy)
             p = factory()
             assert hasattr(p, "choose") and hasattr(p, "extra_cl")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(KeyError):
-            make_policy_factory("huffman")
+            make_factory("huffman")
 
     def test_energy_params_lookup(self):
         assert energy_params_for(NIAGARA_SERVER).name == "DDR4-3200"

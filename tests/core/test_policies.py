@@ -29,18 +29,18 @@ class TestBuiltinRegistrations:
         assert policy_names() == EXPECTED_ORDER
 
     def test_legacy_policies_view_is_live(self):
-        assert framework.POLICIES == policy_names()
-
+        # policy_names() replaced the legacy POLICIES tuple; policies
+        # registered after import must show up in it.
         @register_policy("_tmp_policy", schemes=("dbi",),
                          description="t")
         def _build(ctx):
             return lambda: AlwaysScheme("dbi")
 
         try:
-            assert "_tmp_policy" in framework.POLICIES
+            assert "_tmp_policy" in policy_names()
         finally:
             unregister_policy("_tmp_policy")
-        assert "_tmp_policy" not in framework.POLICIES
+        assert "_tmp_policy" not in policy_names()
 
     def test_every_builtin_builds(self):
         for name in EXPECTED_ORDER:

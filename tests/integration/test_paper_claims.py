@@ -88,16 +88,14 @@ class TestMobileSystem:
 class TestSimulationIntegrity:
     @pytest.mark.parametrize("policy", ["dbi", "mil", "3lwc"])
     def test_bus_protocol_never_violated(self, policy):
-        from repro.core.framework import make_policy_factory
         from repro.coding import precompute_line_zeros
+        from repro.core.policies import make_factory
 
         trace = build_trace("CG", NIAGARA_SERVER, accesses_per_core=SCALE)
         zeros = precompute_line_zeros(
             trace.line_data, ("dbi", "milc", "3lwc")
         )
-        result = simulate(
-            trace, NIAGARA_SERVER, make_policy_factory(policy, zeros)
-        )
+        result = simulate(trace, NIAGARA_SERVER, make_factory(policy, zeros))
         for mc in result.controllers:
             problems = BusAuditor(mc.timing).check(mc.channel.transactions)
             assert problems == [], problems[:3]

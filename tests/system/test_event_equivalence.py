@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 from repro.audit import ProtocolAuditor
 from repro.coding.pipeline import precompute_line_zeros
-from repro.core.framework import make_policy_factory
-from repro.core.policies import sent_schemes
+from repro.core.policies import make_factory, sent_schemes
 from repro.system.machine import SYSTEMS
 from repro.system.simulator import simulate
 from repro.workloads.benchmarks import build_trace
@@ -40,7 +39,7 @@ def _simulate(name, config, seed, accesses, policy, oracle):
     zeros = precompute_line_zeros(
         trace.line_data, sent_schemes(policy), digest=trace.line_digest
     )
-    factory = make_policy_factory(policy, zeros)
+    factory = make_factory(policy, zeros)
     if oracle:
         with lockstep_oracle():
             return simulate(trace, config, factory, record_commands=True)

@@ -14,8 +14,7 @@ every module under ``src/repro`` outside ``repro/coding`` and flags:
 * importing a concrete *registered* codec class (``DBICode``,
   ``MiLCCode``, ...) from any coding module — consumers must resolve
   codecs through the registry (``codec_for``/``scheme_info``) so that
-  backend selection (``REPRO_CODEC_IMPL``) and singleton caching are
-  never bypassed.
+  singleton caching is never bypassed.
 
 Unregistered analysis/helper classes (``OptimalStaticLWC``,
 ``BusInvertCode``, ``TransitionSignaling``) stay importable: they have
@@ -51,8 +50,8 @@ import sys
 from pathlib import Path
 
 LEGACY_NAMES = frozenset({"BURST_FORMATS", "_SCHEMES"})
-# Concrete classes with registry entries (including reference backends);
-# everything outside repro.coding must reach them via codec_for().
+# Concrete classes with registry entries; everything outside
+# repro.coding must reach them via codec_for().
 CODEC_CLASS_NAMES = frozenset({
     "DBICode",
     "MiLCCode",
@@ -60,11 +59,6 @@ CODEC_CLASS_NAMES = frozenset({
     "CAFOCode",
     "KLimitedWeightCode",
     "PerfectThreeLWC",
-    "ReferenceDBI",
-    "ReferenceThreeLWC",
-    "ReferenceMiLC",
-    "ReferenceCAFO",
-    "ReferenceKLWC",
 })
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 EXEMPT = "coding"  # the package that owns scheme knowledge
