@@ -7,7 +7,7 @@ go through ``repro.campaign`` — content-addressed on the run's
 ``RunSpec`` plus a fingerprint of the model source, cached on disk
 (``.cache/runs``) — so the first cold execution of the harness takes
 minutes and subsequent ones take seconds.  Set ``REPRO_JOBS`` to fan
-cache misses out over a process pool.
+cache misses out over worker shards.
 """
 
 import pytest

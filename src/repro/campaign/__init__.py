@@ -17,9 +17,10 @@ pieces:
     ``core``/``workloads``), so editing the model invalidates stale
     summaries automatically.
 ``CampaignRunner``
-    Fans independent specs out over a process pool (worker count from
-    ``--jobs`` / ``REPRO_JOBS``), retries on worker failure, and emits
-    structured progress events through a pluggable sink.
+    Fans independent specs out over worker shards (count from
+    ``--jobs`` / ``REPRO_JOBS``) on the engine ``repro serve`` runs
+    too, retries failed runs and dead shards, and emits structured
+    progress events through a pluggable sink.
 
 Environment knobs: ``REPRO_JOBS`` (default worker count),
 ``REPRO_CACHE_DIR`` (cache location), ``REPRO_NO_CACHE=1`` (bypass both
@@ -29,10 +30,11 @@ the read and the write path).
 from .cache import cache_dir, cache_enabled, cache_path, load, store
 from .events import ProgressLine, RunEvent, null_sink
 from .fingerprint import model_fingerprint
-from .runner import CampaignRunner, default_jobs, run_cached
+from .runner import CampaignFailed, CampaignRunner, default_jobs
 from .spec import RunSpec
 
 __all__ = [
+    "CampaignFailed",
     "CampaignRunner",
     "ProgressLine",
     "RunEvent",
@@ -44,6 +46,5 @@ __all__ = [
     "load",
     "model_fingerprint",
     "null_sink",
-    "run_cached",
     "store",
 ]

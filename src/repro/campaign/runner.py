@@ -1,69 +1,41 @@
-"""Campaign execution: cache check, process-pool fan-out, retries.
+"""Campaign execution: one job on the engine ``repro serve`` runs.
 
-:class:`CampaignRunner` takes any iterable of :class:`RunSpec`,
-deduplicates it, serves what it can from the content-addressed cache,
-and executes the misses — serially for ``jobs=1`` (the default under
-pytest, so unit suites stay deterministic and pool-free) or across a
-``ProcessPoolExecutor`` otherwise.  A worker that dies mid-run (e.g.
-SIGKILLed or OOM-killed, which poisons every in-flight future in its
-pool) releases its specs back to the queue: the pool is rebuilt and
-the unfinished work resubmitted, up to ``retries`` rebuilds, before
-the parent finishes the remainder itself.
+:class:`CampaignRunner` deduplicates its specs and submits them as one
+job to a private :class:`~repro.serve.jobs.JobManager`, whose submit
+scan serves what it can from the content-addressed cache.  The misses
+run on a :class:`~repro.serve.engine.Engine` under ``asyncio.run``
+until the job settles, over ``min(jobs, misses)`` worker shards that
+``run()`` forks (one means the broker's inline slot, in this process).
 
 Simulations are seeded and deterministic, so the same spec produces
 the same summary no matter which process executes it; the cache write
-is what makes serial and parallel campaigns byte-identical.
+(:func:`_finish`) is what makes serial, parallel and served campaigns
+byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    as_completed,
-)
+from contextlib import nullcontext
 
 from . import cache
 from .events import RunEvent, null_sink
 from .spec import RunSpec
 
-__all__ = ["CampaignRunner", "default_jobs", "run_cached"]
+__all__ = ["CampaignFailed", "CampaignRunner", "default_jobs"]
 
-# Failure-injection hooks (see tests/campaign/test_runner.py and the
-# guard-rail philosophy of tests/integration/test_failure_injection.py):
-# when the variable names a nonexistent path, the next _execute call
-# creates it and then misbehaves exactly once — FAIL_ONCE raises a
-# plain exception (a run that errors), KILL_ONCE SIGKILLs its own
-# process (a worker that dies mid-lease, poisoning a process pool).
-FAIL_ONCE_ENV = "REPRO_CAMPAIGN_FAIL_ONCE"
-KILL_ONCE_ENV = "REPRO_CAMPAIGN_KILL_ONCE"
+# The engine's per-key job events a campaign narrates as RunEvents;
+# "queued" is emitted up front and "cache-hit" by the scan.
+_NARRATED = ("started", "retried", "finished", "failed")
 
 
-def _trip_once(env_var: str) -> bool:
-    """True exactly once per sentinel path named by ``env_var``."""
-    sentinel = os.environ.get(env_var)
-    if not sentinel or os.path.exists(sentinel):
-        return False
-    try:  # "x" keeps the trip exactly-once across racing workers
-        with open(sentinel, "x") as fh:
-            fh.write("tripped")
-    except FileExistsError:
-        return False
-    return True
+class CampaignFailed(RuntimeError):
+    """A strict campaign lost a run: names the first failed spec."""
 
 
 def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (serial under pytest).
-
-    Explicitly passing ``jobs=`` to :class:`CampaignRunner` overrides
-    this; only the *implicit* default downgrades to serial inside a
-    pytest process.
-    """
-    if "PYTEST_CURRENT_TEST" in os.environ:
-        return 1
+    """Worker count from ``REPRO_JOBS`` (1 when unset or invalid)."""
     raw = os.environ.get("REPRO_JOBS", "")
     try:
         return max(1, int(raw))
@@ -74,28 +46,15 @@ def default_jobs() -> int:
 def _execute(spec: RunSpec) -> tuple[dict, float]:
     """Run one spec fresh; returns (summary dict, wall seconds).
 
-    Top-level so a process pool can import it by name; the framework
-    import is deferred so importing ``repro.campaign`` stays cycle-free.
+    Every execution slot looks this up on the module at call time; the
+    framework import is deferred so importing ``repro.campaign`` stays
+    cycle-free.
     """
-    if _trip_once(FAIL_ONCE_ENV):
-        raise RuntimeError(f"injected worker failure for {spec.slug}")
-    if _trip_once(KILL_ONCE_ENV):
-        os.kill(os.getpid(), signal.SIGKILL)
-
     from ..core.framework import run_spec
 
     started = time.perf_counter()
     summary = run_spec(spec)
     return summary.to_dict(), time.perf_counter() - started
-
-
-def run_cached(spec: RunSpec, fingerprint: str | None = None):
-    """One-spec convenience: cache hit or execute-and-store."""
-    summary = cache.load(spec, fingerprint)
-    if summary is not None:
-        return summary
-    body, wall_s = _execute(spec)
-    return _finish(spec, body, wall_s, fingerprint)
 
 
 def _finish(spec, body, wall_s, fingerprint):
@@ -113,20 +72,20 @@ class CampaignRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` means :func:`default_jobs`.
+        Worker shards; ``None`` means :func:`default_jobs`.
     sink:
         Callable fed a :class:`RunEvent` per orchestration step.
     retries:
-        How many times a spec whose worker died is re-attempted in the
-        parent process before the run counts as failed.
+        How many times a run that raised, or whose shard died, is
+        re-queued before it counts as failed.
     fingerprint:
         Model fingerprint override (tests); ``None`` uses the real one.
     strict:
-        ``True`` (the default, and the historical behaviour) re-raises
-        once a spec exhausts its retries.  ``False`` records the spec in
-        :attr:`failures` and keeps the campaign going, so callers can
-        report every failing key at the end instead of dying on the
-        first one; failed specs are simply absent from the result dict.
+        ``True`` (the default) raises :class:`CampaignFailed` once the
+        campaign settles with a failed run.  ``False`` records every
+        failed spec in :attr:`failures` instead, so callers can report
+        each failing key; failed specs are simply absent from the
+        result dict either way.
     telemetry:
         Optional :class:`~repro.telemetry.session.TelemetrySession`
         (``time_unit="seconds"``); phases and per-run spans are recorded
@@ -154,138 +113,77 @@ class CampaignRunner:
     def run(self, specs) -> dict[RunSpec, "object"]:
         """Run every distinct spec; returns {spec: RunSummary}.
 
-        Failed specs (only possible with ``strict=False``) are left out
-        of the mapping and listed in :attr:`failures`.
+        Failed specs are left out of the mapping; with ``strict=False``
+        they are listed in :attr:`failures`.
         """
+        import asyncio
+
+        from ..serve.jobs import JobManager
+
         ordered = list(dict.fromkeys(specs))
         total = len(ordered)
         self.counters["specs"] += total
         results: dict[RunSpec, object] = {}
-        misses: list[RunSpec] = []
+        if not ordered:
+            return results
         for spec in ordered:
             self._emit("queued", spec, total)
+
+        def scan(spec):
+            summary = cache.load(spec, self.fingerprint)
+            if summary is not None:
+                results[spec] = summary
+                self._emit("cache-hit", spec, total)
+            return summary
+
+        manager = JobManager(queue_limit=total, fingerprint=self.fingerprint)
         with self._phase("scan"):
-            for spec in ordered:
-                summary = cache.load(spec, self.fingerprint)
-                if summary is not None:
-                    self.counters["cache_hits"] += 1
-                    results[spec] = summary
-                    self._emit("cache-hit", spec, total)
-                else:
-                    misses.append(spec)
-        if misses:
+            job = manager.submit(ordered, cache_probe=scan)
+        failures = []
+        if not job.finished:
             with self._phase("execute"):
-                if self.jobs > 1 and len(misses) > 1:
-                    self._run_parallel(misses, results, total)
-                else:
-                    self._run_serial(misses, results, total)
+                asyncio.run(self._drive(manager, job, results, failures))
+        for key in ("cache_hits", "executed", "retries", "failed"):
+            self.counters[key] += job.counters[key]
+        if failures and self.strict:
+            spec, error = failures[0]
+            raise CampaignFailed(f"{spec.slug} failed: {error}")
+        self.failures.extend(failures)
         return results
+
+    async def _drive(self, manager, job, results, failures) -> None:
+        """Run ``job``'s misses on an engine, narrating until it settles."""
+        from ..serve.engine import Engine
+
+        spec_of = dict(zip(job.keys, job.specs))
+
+        def keep(key, jobs, summary):
+            if summary is not None:
+                results[spec_of[key]] = summary
+
+        width = min(self.jobs, manager.queue_depth)
+        engine = Engine(manager, width if width > 1 else 0, keep,
+                        retries=self.retries)
+        try:
+            await engine.start()
+            async for event in job.log.subscribe():
+                kind = event["kind"]
+                if event["scope"] != "run" or kind not in _NARRATED:
+                    continue
+                spec = spec_of[event["key"]]
+                wall_s, error = event.get("wall_s"), event.get("error")
+                if kind == "finished" and wall_s is not None:
+                    self.counters["wall_s"] += wall_s
+                elif kind == "failed":
+                    failures.append((spec, error))
+                self._emit(kind, spec, job.total, wall_s=wall_s, error=error)
+        finally:
+            await engine.stop()
 
     def _phase(self, name: str):
         if self._probe is not None:
             return self._probe.phase(name)
-        return _NULL_PHASE
-
-    # -- execution strategies ------------------------------------------
-
-    def _run_serial(self, misses, results, total) -> None:
-        for spec in misses:
-            self._emit("started", spec, total)
-            outcome = self._attempt(spec, total, _execute)
-            if outcome is not None:
-                results[spec] = self._record(spec, *outcome, total)
-
-    def _run_parallel(self, misses, results, total) -> None:
-        for spec in misses:
-            self._emit("started", spec, total)
-        pending = list(misses)
-        rebuilds = 0
-        while pending:
-            pending, failure = self._pool_round(pending, results, total)
-            if not pending:
-                return
-            # A worker died mid-lease (SIGKILL, OOM, segfault), which
-            # poisons every in-flight future in the pool.  The leases
-            # are released back to the queue: rebuild a fresh pool and
-            # resubmit, up to `retries` rebuilds, then finish what is
-            # left in the parent so nothing is stranded.
-            self.counters["retries"] += 1
-            for spec in pending:
-                self._emit("retried", spec, total, error=failure)
-            rebuilds += 1
-            if rebuilds > self.retries:
-                for spec in pending:
-                    outcome = self._attempt(spec, total, _execute, budget=0)
-                    if outcome is not None:
-                        results[spec] = self._record(spec, *outcome, total)
-                return
-
-    def _pool_round(self, pending, results, total):
-        """One process-pool pass; returns (unfinished specs, error).
-
-        Specs whose futures were poisoned by a pool break — not by
-        their own exception — come back in submission order for the
-        caller to requeue.  A run that *raises* in its worker is still
-        retried in-parent immediately, exactly as before.
-        """
-        workers = min(self.jobs, len(pending))
-        dropped: set = set()
-        failure = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict = {}
-            try:
-                for spec in pending:
-                    futures[pool.submit(_execute, spec)] = spec
-            except BrokenExecutor as exc:  # broke during submission
-                failure = repr(exc)
-                submitted = set(futures.values())
-                dropped.update(s for s in pending if s not in submitted)
-            for future in as_completed(futures):
-                spec = futures[future]
-                try:
-                    outcome = future.result()
-                except BrokenExecutor as exc:
-                    failure = repr(exc)
-                    dropped.add(spec)
-                    continue
-                except Exception as exc:  # the run itself raised
-                    self._emit("retried", spec, total, error=repr(exc))
-                    self.counters["retries"] += 1
-                    outcome = self._attempt(
-                        spec, total, _execute, budget=self.retries - 1
-                    )
-                if outcome is not None:
-                    results[spec] = self._record(spec, *outcome, total)
-        return [s for s in pending if s in dropped], failure
-
-    def _attempt(self, spec, total, execute, budget: int | None = None):
-        """Call ``execute`` with the retry budget.
-
-        Exhausting the budget raises under ``strict`` and returns
-        ``None`` (after recording the failure) otherwise.
-        """
-        budget = self.retries if budget is None else budget
-        while True:
-            try:
-                return execute(spec)
-            except Exception as exc:
-                if budget <= 0:
-                    self.counters["failed"] += 1
-                    self._emit("failed", spec, total, error=repr(exc))
-                    if self.strict:
-                        raise
-                    self.failures.append((spec, repr(exc)))
-                    return None
-                budget -= 1
-                self.counters["retries"] += 1
-                self._emit("retried", spec, total, error=repr(exc))
-
-    def _record(self, spec, body, wall_s, total):
-        summary = _finish(spec, body, wall_s, self.fingerprint)
-        self.counters["executed"] += 1
-        self.counters["wall_s"] += wall_s
-        self._emit("finished", spec, total, wall_s=wall_s)
-        return summary
+        return nullcontext()
 
     def _emit(self, kind, spec, total, wall_s=None, error=None) -> None:
         event = RunEvent(
@@ -299,16 +197,3 @@ class CampaignRunner:
         if self._probe is not None:
             self._probe.event(event)
         self.sink(event)
-
-
-class _NullPhase:
-    """No-telemetry stand-in for :class:`PhaseTimer`."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_PHASE = _NullPhase()

@@ -3,8 +3,8 @@
 A :class:`RunSpec` is the single currency of the campaign engine: the
 experiment modules plan lists of specs, the runner executes them, the
 cache keys files on them, and results are looked up by spec equality.
-Specs are hashable and picklable, so they cross process-pool boundaries
-and serve as dict keys on both sides.
+Specs are hashable and picklable, so they cross worker-shard pipes and
+serve as dict keys on both sides.
 """
 
 from __future__ import annotations
@@ -108,39 +108,6 @@ class RunSpec:
         if self.lookahead is not None and self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
 
-    @classmethod
-    def of(
-        cls,
-        benchmark: str,
-        config: SystemConfig | str,
-        policy: str,
-        lookahead: int | None = None,
-        accesses_per_core: int = 5000,
-        seed: int = 0,
-        mil_overrides: dict | tuple = (),
-    ) -> "RunSpec":
-        """Build a spec from the legacy ``cached_run`` argument shapes.
-
-        ``config`` may be a system name, a Table 2 config, or a
-        ``dataclasses.replace`` variant of one — the variant is
-        decomposed into its base system plus field overrides so the
-        spec stays a pure-data description.
-        """
-        if isinstance(config, str):
-            system, overrides = config, ()
-        else:
-            system, overrides = _decompose_system(config)
-        return cls(
-            benchmark=benchmark,
-            system=system,
-            policy=policy,
-            lookahead=lookahead,
-            accesses_per_core=accesses_per_core,
-            seed=seed,
-            system_overrides=overrides,
-            mil_overrides=mil_overrides,
-        )
-
     def resolve_system(self) -> SystemConfig:
         """Materialise the (possibly overridden) system configuration.
 
@@ -199,37 +166,3 @@ def _replace_path(config, overrides: dict):
         base = direct.get(head, getattr(config, head))
         direct[head] = _replace_path(base, sub)
     return dataclasses.replace(config, **direct)
-
-
-def _decompose_system(config: SystemConfig) -> tuple[str, tuple]:
-    """Split a SystemConfig into (base system name, field overrides).
-
-    Picks the registered system the config differs least from; every
-    differing field must be JSON-primitive (the design-space knobs are
-    all strings/numbers — swapping timing or geometry wholesale needs a
-    new :data:`SYSTEMS` entry instead).
-    """
-    if config.name in SYSTEMS and SYSTEMS[config.name] == config:
-        return config.name, ()
-    best: tuple[str, tuple] | None = None
-    for name, base in SYSTEMS.items():
-        diffs = []
-        ok = True
-        for f in dataclasses.fields(SystemConfig):
-            mine = getattr(config, f.name)
-            theirs = getattr(base, f.name)
-            if mine == theirs:
-                continue
-            if not isinstance(mine, _PRIMITIVES):
-                ok = False
-                break
-            diffs.append((f.name, mine))
-        if ok and (best is None or len(diffs) < len(best[1])):
-            best = (name, tuple(diffs))
-    if best is None:
-        raise ValueError(
-            f"system config {config.name!r} differs from every "
-            "registered system in non-primitive fields; register it in "
-            "repro.system.machine.SYSTEMS"
-        )
-    return best

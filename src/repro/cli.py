@@ -13,7 +13,7 @@ Commands
 ``campaign [ID ...] [--jobs N] [--scale N] [--no-report]``
     Run every simulation an entire figure set needs as one
     content-addressed campaign — cache hits are free, misses fan out
-    over a process pool — with a live progress line, then print the
+    over worker shards — with a live progress line, then print the
     figures.
 ``suite [--system S] [--policy P] [--scale N] [--jobs N]``
     Run the whole 11-benchmark suite under one policy, normalized to
@@ -62,8 +62,9 @@ Commands
     Inspect a running service: list jobs, show or cancel one, stream
     one job's events, or print service stats.
 
-``--jobs`` (or the ``REPRO_JOBS`` environment variable) sets the
-process-pool width for campaign-backed commands; ``-j1`` stays serial.
+``--jobs`` (or the ``REPRO_JOBS`` environment variable) sets how many
+worker shards campaign-backed commands fan out over; ``-j1`` stays
+serial, in this process.
 
 ``run`` and ``campaign`` accept ``--audit`` (record each run's DRAM
 command log and re-derive every Table 2 constraint from it post-run;
@@ -1078,9 +1079,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7823,
                          help="TCP port (0 = pick a free one)")
-    p_serve.add_argument("--shards", type=int, default=None,
-                         help="worker processes (default: "
-                              "REPRO_SERVE_SHARDS or 2; 0 = inline)")
+    p_serve.add_argument("--shards", type=int, default=2,
+                         help="worker processes (default: 2; 0 = one "
+                              "run at a time in the service process)")
     p_serve.add_argument("--store", default=".cache/serve", metavar="DIR",
                          help="result store root (default: .cache/serve)")
     p_serve.add_argument("--queue-limit", type=int, default=4096,

@@ -40,7 +40,6 @@ from .base import ExperimentResult
 from .runner import (
     EXPERIMENT_ACCESSES_PER_CORE,
     cache_dir,
-    cached_run,
     gather,
 )
 
@@ -87,6 +86,5 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENT_ACCESSES_PER_CORE",
     "cache_dir",
-    "cached_run",
     "gather",
 ]

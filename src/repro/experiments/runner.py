@@ -5,24 +5,22 @@ Figures 16-19 and 22 all consume the same 110 simulation runs
 executes each figure in its own pytest process.  Experiments describe
 their runs as :class:`~repro.campaign.RunSpec` values and hand them to
 :func:`gather`, which serves cache hits from the content-addressed
-on-disk store and fans misses out over a process pool
-(``REPRO_JOBS`` / ``--jobs`` workers; serial by default and under
-pytest).  Cache invalidation is automatic: the cache key embeds a
-fingerprint of the model source, so there is no version to bump.
+on-disk store and fans misses out over worker shards (``REPRO_JOBS``
+/ ``--jobs`` of them; serial by default).  Cache invalidation is
+automatic: the cache key embeds a fingerprint of the model source, so
+there is no version to bump.
 
 Set ``REPRO_NO_CACHE=1`` to force fresh runs and skip cache writes.
 """
 
 from __future__ import annotations
 
-from ..campaign import CampaignRunner, RunSpec, cache_dir, run_cached
+from ..campaign import CampaignRunner, RunSpec, cache_dir
 from ..core.framework import RunSummary
-from ..system.machine import SystemConfig
 
 __all__ = [
     "EXPERIMENT_ACCESSES_PER_CORE",
     "cache_dir",
-    "cached_run",
     "gather",
     "normalized",
 ]
@@ -42,29 +40,6 @@ def gather(
     ``gather`` them, then look summaries up by spec equality.
     """
     return CampaignRunner(jobs=jobs, sink=sink).run(specs)
-
-
-def cached_run(
-    benchmark: str,
-    config: SystemConfig | str,
-    policy: str,
-    lookahead: int | None = None,
-    accesses_per_core: int = EXPERIMENT_ACCESSES_PER_CORE,
-    seed: int = 0,
-) -> RunSummary:
-    """Like :func:`repro.core.run` but memoised on disk.
-
-    Single-run convenience over the campaign cache; sweeps should build
-    :class:`RunSpec` lists and :func:`gather` them instead, which also
-    buys process-pool fan-out.
-    """
-    spec = RunSpec.of(
-        benchmark, config, policy,
-        lookahead=lookahead,
-        accesses_per_core=accesses_per_core,
-        seed=seed,
-    )
-    return run_cached(spec)
 
 
 def normalized(value: float, baseline: float) -> float:

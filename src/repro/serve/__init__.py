@@ -1,17 +1,21 @@
 """Long-running campaign service: async job API over the campaign engine.
 
-``repro.serve`` promotes :class:`~repro.campaign.runner.CampaignRunner`
-from a CLI loop to a resident asyncio service:
+``repro.serve`` keeps the engine every campaign runs on resident as an
+asyncio service:
 
+* :mod:`~repro.serve.engine` — :class:`Engine`, the one scheduler loop
+  with retry-with-backoff that leases a job manager's work to a lease
+  broker; :meth:`~repro.campaign.runner.CampaignRunner.run` drives one
+  for a single job and returns;
 * :mod:`~repro.serve.jobs` — the job model and manager: submit /
   status / cancel / list, priority + FIFO scheduling, bounded queues
   with back-pressure, per-key lease coalescing;
 * :mod:`~repro.serve.events` — seq-numbered per-job event logs with
   snapshot-plus-tail subscription (a client that connects mid-campaign
   sees a consistent prefix and then the live tail);
-* :mod:`~repro.serve.shards` — the lease broker: local process shards
-  (``REPRO_SERVE_SHARDS`` / ``--shards``) plus remote TCP workers,
-  with lease tracking, heartbeats, death detection, and respawn;
+* :mod:`~repro.serve.shards` — the lease broker: local worker shards
+  (``--shards``) plus remote TCP workers, with lease tracking,
+  heartbeats, death detection, and respawn;
 * :mod:`~repro.serve.worker` — the ``repro worker`` daemon that dials
   a service and contributes one remote execution slot;
 * :mod:`~repro.serve.journal` — the append-only JSONL job table that
@@ -19,23 +23,24 @@ from a CLI loop to a resident asyncio service:
 * :mod:`~repro.serve.store` — the multi-tenant result store layered on
   the content-addressed campaign cache, with per-namespace quotas and
   an eviction/GC sweep;
-* :mod:`~repro.serve.service` — :class:`CampaignService`, the
-  scheduler loop gluing the above together with retry-with-backoff;
+* :mod:`~repro.serve.service` — :class:`CampaignService`, the engine
+  kept resident with the store, the journal and the metrics;
 * :mod:`~repro.serve.server` — the newline-delimited-JSON HTTP API
   (TCP and Unix-socket listeners on asyncio streams);
 * :mod:`~repro.serve.client` — the synchronous Python client the
   ``repro submit`` / ``repro jobs`` verbs are built on.
 
-The correctness oracle for all of it: a campaign submitted through the
-service produces the same content-addressed cache keys and
-byte-identical ``RunSummary`` payloads as the same campaign run via
-``repro campaign`` locally (see ``docs/SERVICE.md``).
+A campaign submitted through the service produces the same
+content-addressed cache keys and byte-identical ``RunSummary`` payloads
+as the same campaign run via ``repro campaign`` locally, by
+construction: both run on the same engine (see ``docs/SERVICE.md``).
 """
 
 from .client import BackPressureError, ServeClient, ServeError
+from .engine import Engine
 from .jobs import Job, JobManager, JobState, QueueFullError
 from .journal import Journal
-from .service import CampaignService, ServiceConfig, default_shards
+from .service import CampaignService, ServiceConfig
 from .shards import LeaseBroker
 from .store import ResultStore
 from .worker import WorkerAuthError, WorkerDaemon
@@ -43,6 +48,7 @@ from .worker import WorkerAuthError, WorkerDaemon
 __all__ = [
     "BackPressureError",
     "CampaignService",
+    "Engine",
     "Job",
     "JobManager",
     "JobState",
@@ -55,5 +61,4 @@ __all__ = [
     "ServiceConfig",
     "WorkerAuthError",
     "WorkerDaemon",
-    "default_shards",
 ]

@@ -11,8 +11,9 @@ single execution settles every waiter.
 
 The manager is deliberately synchronous and process-free: it owns no
 shards, sockets, or clocks beyond event timestamps, which is what makes
-its scheduling behaviour unit-testable.  :class:`CampaignService` is
-the async driver that pulls work from here and pushes results back.
+its scheduling behaviour unit-testable.  The engine
+(:class:`~repro.serve.engine.Engine`) is the async loop that pulls
+work from here and pushes results back.
 
 Back-pressure is a bounded count of *outstanding* work units (queued
 plus leased): a submission whose cache misses would exceed the bound is

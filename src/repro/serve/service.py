@@ -1,25 +1,12 @@
-"""`CampaignService`: the asyncio scheduler loop around the job manager.
+"""`CampaignService`: the resident engine behind the job API.
 
-One service owns one :class:`~repro.serve.jobs.JobManager`, one
-:class:`~repro.serve.shards.LeaseBroker`, and one
-:class:`~repro.serve.store.ResultStore`, all driven from a single event
-loop.  The flow per work unit (one content-addressed cache key):
-
-1. ``submit`` scans the campaign cache (hits settle immediately and
-   never reach a shard) and queues the misses with priority + FIFO
-   order and bounded back-pressure;
-2. the scheduler leases keys to free shards; duplicate submissions are
-   already coalesced by the manager, so a key executes at most once no
-   matter how many jobs want it;
-3. a shard reply of ``ok`` is finished through the exact code path a
-   local campaign uses (:func:`repro.campaign.runner._finish`), which
-   is what keeps served cache files byte-identical to local ones;
-4. ``err`` replies retry with exponential backoff up to ``retries``
-   attempts; a *died* shard releases its lease back to the queue
-   (charged as one attempt) and the pool respawns the worker;
-5. completion updates every waiting job's event log and records the
-   keys under the job's namespace in the result store; a quota/GC
-   sweep runs opportunistically whenever a job finishes.
+The service is an :class:`~repro.serve.engine.Engine` kept resident,
+plus what only a long-lived process needs: a
+:class:`~repro.serve.store.ResultStore` whose tenant indexes record
+every hit and completed key (a quota/GC sweep runs whenever the work
+queue drains), the :class:`~repro.serve.journal.Journal` a restarted
+service resumes from, and the ``/v1/metrics`` sample with its rolling
+JSONL exporter.
 
 The service process pins ``REPRO_CACHE_DIR`` to the store's ``runs/``
 directory for its lifetime, so shard children (forked after start)
@@ -35,9 +22,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign import cache
-from ..campaign.runner import _finish
-from ..campaign.spec import RunSpec
+from .engine import BACKOFF_BASE_S, BACKOFF_MAX_S, Engine
 from .jobs import DEFAULT_QUEUE_LIMIT, Job, JobManager
 from .journal import JOURNAL_NAME, Journal
 from .protocol import spec_from_canonical
@@ -45,19 +30,13 @@ from .shards import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TIMEOUT_S,
     DEFAULT_SHARDS,
-    LeaseBroker,
-    shard_count_from_env,
 )
 from .store import DEFAULT_QUOTA, ResultStore
 
-__all__ = ["CampaignService", "ServiceConfig", "default_shards"]
+__all__ = ["CampaignService", "ServiceConfig"]
 
 METRICS_SCHEMA = "repro.serve.metrics/v1"
 METRICS_NAME = "metrics.jsonl"
-
-
-def default_shards() -> int:
-    return shard_count_from_env(DEFAULT_SHARDS)
 
 
 @dataclass
@@ -65,13 +44,13 @@ class ServiceConfig:
     """Everything `repro serve` can tune."""
 
     store_root: str | Path = ".cache/serve"
-    shards: int | None = None  # None -> REPRO_SERVE_SHARDS or 2
+    shards: int = DEFAULT_SHARDS  # 0 = one inline slot in this process
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     quota: int = DEFAULT_QUOTA
     quotas: dict = field(default_factory=dict)
     retries: int = 2
-    backoff_base_s: float = 0.05  # attempt n sleeps base * 2**(n-1)
-    backoff_max_s: float = 2.0
+    backoff_base_s: float = BACKOFF_BASE_S
+    backoff_max_s: float = BACKOFF_MAX_S
     fingerprint: str | None = None  # tests pin this; None = real model
     # Remote workers: shared handshake token (None = accept any) and
     # the liveness knobs for the lease broker.
@@ -87,52 +66,41 @@ class ServiceConfig:
     metrics_out: str | Path | None = None
 
 
-class CampaignService:
+class CampaignService(Engine):
     """The resident campaign engine behind the job API."""
 
     def __init__(self, config: ServiceConfig | None = None,
                  telemetry=None) -> None:
         self.config = config or ServiceConfig()
-        shards = self.config.shards
-        self.shards = default_shards() if shards is None else max(0, shards)
+        self.shards = max(0, self.config.shards)
         self.store = ResultStore(
             self.config.store_root,
             quota=self.config.quota,
             quotas=self.config.quotas,
         )
-        self.manager = JobManager(
-            queue_limit=self.config.queue_limit,
-            fingerprint=self.config.fingerprint,
-        )
-        self.pool = LeaseBroker(
+        super().__init__(
+            JobManager(
+                queue_limit=self.config.queue_limit,
+                fingerprint=self.config.fingerprint,
+            ),
             self.shards,
-            self._on_result,
+            self._settled,
+            retries=self.config.retries,
+            backoff_base_s=self.config.backoff_base_s,
+            backoff_max_s=self.config.backoff_max_s,
             heartbeat_s=self.config.heartbeat_s,
             lease_timeout_s=self.config.lease_timeout_s,
-            on_fleet_change=self._fleet_changed,
+            probe=(
+                telemetry.service_probe() if telemetry is not None else None
+            ),
         )
-        # Drop per-key retry bookkeeping the moment the manager forgets
-        # a unit (e.g. every waiter cancelled mid-backoff) — otherwise
-        # `_attempts` grows forever on cancel-heavy workloads.
-        self.manager.on_drop = self._attempts_drop
-        self._probe = (
-            telemetry.service_probe() if telemetry is not None else None
-        )
-        self._wake = asyncio.Event()
-        self._gate = asyncio.Event()  # cleared == paused
-        self._gate.set()
-        self._scheduler: asyncio.Task | None = None
+        self.counters["swept"] = 0
         self._metrics_task: asyncio.Task | None = None
-        self._retry_tasks: set = set()
-        self._attempts: dict[str, int] = {}  # key -> failed attempts
         self._saved_cache_dir: str | None = None
         self._running = False
         self._started_at: float | None = None
         self.journal: Journal | None = None
         self.resume_report: dict | None = None
-        self.counters = {
-            "executed": 0, "retried": 0, "died": 0, "swept": 0,
-        }
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -146,12 +114,11 @@ class CampaignService:
         os.environ["REPRO_CACHE_DIR"] = str(self.store.runs_dir)
         if self.config.journal:
             self._open_journal()
-        self.pool.start()
-        loop = asyncio.get_running_loop()
-        self._scheduler = loop.create_task(self._schedule_loop())
+        await super().start()
         if self.config.metrics_interval_s > 0:
-            self._metrics_task = loop.create_task(self._export_metrics())
-        self._wake.set()
+            self._metrics_task = asyncio.get_running_loop().create_task(
+                self._export_metrics()
+            )
 
     def _open_journal(self) -> None:
         """Replay any prior journal, then keep appending to it.
@@ -184,13 +151,6 @@ class CampaignService:
         if not self._running:
             return
         self._running = False
-        self._wake.set()
-        if self._scheduler is not None:
-            self._scheduler.cancel()
-            try:
-                await self._scheduler
-            except asyncio.CancelledError:
-                pass
         if self._metrics_task is not None:
             self._metrics_task.cancel()
             try:
@@ -199,23 +159,13 @@ class CampaignService:
                 pass
             self._metrics_task = None
             self._write_metrics_sample()  # final sample at shutdown
-        for task in list(self._retry_tasks):
-            task.cancel()
-        self.pool.close()
+        await super().stop()
         if self.journal is not None:
             self.journal.close()
         if self._saved_cache_dir is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = self._saved_cache_dir
-
-    def pause(self) -> None:
-        """Stop leasing new work (in-flight leases drain normally)."""
-        self._gate.clear()
-
-    def resume(self) -> None:
-        self._gate.set()
-        self._wake.set()
 
     # -- submission -----------------------------------------------------
     def submit_specs(
@@ -258,97 +208,17 @@ class CampaignService:
             label=payload.get("label"),
         )
 
-    # -- scheduling -----------------------------------------------------
-    async def _schedule_loop(self) -> None:
-        while True:
-            await self._gate.wait()
-            dispatched = False
-            while self._gate.is_set() and self.pool.free_slots > 0:
-                work = self.manager.next_work()
-                if work is None:
-                    break
-                key, spec = work
-                # The cache may have filled in since submit (another
-                # tenant, another service on the same store).
-                summary = cache.load(spec, self.manager.fingerprint)
-                if summary is not None:
-                    self._complete(key, wall_s=None, executed=False)
-                    dispatched = True
-                    continue
-                if not self.pool.dispatch(key, spec):
-                    # The free slot vanished between the check and the
-                    # lease (a remote worker died on send): put the key
-                    # straight back so it can't strand in the leased set.
-                    self.manager.release(
-                        key, error="no free worker", requeue=True
-                    )
-                    break
-                dispatched = True
-            if self._probe is not None and dispatched:
-                self._update_gauges()
-            self._wake.clear()
-            if self.manager.queue_depth == 0 or self.pool.free_slots == 0:
-                await self._wake.wait()
-
-    def _on_result(self, key: str, spec: RunSpec, outcome: tuple) -> None:
-        kind = outcome[0]
-        if kind == "ok":
-            _, body, wall_s = outcome
-            _finish(spec, body, wall_s, self.manager.fingerprint)
-            self._attempts.pop(key, None)
-            self.counters["executed"] += 1
-            self._complete(key, wall_s=wall_s, executed=True)
-        else:  # "err" (worker exception) or "died" (killed shard)
-            error = outcome[1]
-            if kind == "died":
-                self.counters["died"] += 1
-            attempts = self._attempts.get(key, 0) + 1
-            self._attempts[key] = attempts
-            if attempts > self.config.retries:
-                self._attempts.pop(key, None)
-                self.manager.fail(key, error)
-                self._sweep_if_idle()
-            else:
-                self.counters["retried"] += 1
-                delay = min(
-                    self.config.backoff_max_s,
-                    self.config.backoff_base_s * (2 ** (attempts - 1)),
-                )
-                task = asyncio.get_running_loop().create_task(
-                    self._requeue_later(key, error, delay)
-                )
-                self._retry_tasks.add(task)
-                task.add_done_callback(self._retry_tasks.discard)
-        if self._probe is not None:
-            self._probe.result(kind)
-            self._update_gauges()
-        self._wake.set()
-
-    async def _requeue_later(self, key: str, error: str,
-                             delay: float) -> None:
-        """Retry-with-backoff: the lease returns to the queue later."""
-        await asyncio.sleep(delay)
-        self.manager.release(key, error=error, requeue=True)
-        self._wake.set()
-
-    def _complete(self, key: str, wall_s, executed: bool) -> None:
-        jobs = self.manager.complete(key, wall_s=wall_s, executed=executed)
-        by_namespace: dict[str, list[str]] = {}
-        for job in jobs:
-            by_namespace.setdefault(job.namespace, []).append(key)
-        for namespace, keys in by_namespace.items():
-            self.store.record(namespace, keys)
+    # -- engine hook ----------------------------------------------------
+    def _settled(self, key: str, jobs: list, summary) -> None:
+        """Record a completed key in its jobs' namespaces, then sweep
+        (in that order, or the sweep collects the file just written)."""
+        if summary is not None:
+            by_namespace: dict[str, list[str]] = {}
+            for job in jobs:
+                by_namespace.setdefault(job.namespace, []).append(key)
+            for namespace, keys in by_namespace.items():
+                self.store.record(namespace, keys)
         self._sweep_if_idle()
-
-    def _attempts_drop(self, key: str) -> None:
-        """Manager forgot a unit (all waiters gone): forget its retries."""
-        self._attempts.pop(key, None)
-
-    def _fleet_changed(self) -> None:
-        """Broker capacity changed: wake the scheduler, refresh gauges."""
-        self._wake.set()
-        if self._probe is not None:
-            self._update_gauges()
 
     def _sweep_if_idle(self) -> None:
         """Quota/GC sweep whenever the work queue drains.
@@ -361,14 +231,6 @@ class CampaignService:
             report = self.store.sweep()
             if report["evicted"] or report["removed_files"]:
                 self.counters["swept"] += 1
-
-    def _update_gauges(self) -> None:
-        self._probe.gauges(
-            queue_depth=self.manager.queue_depth,
-            inflight=self.manager.inflight,
-            shards=len(self.pool.busy_leases),
-            workers=self.pool.workers_connected,
-        )
 
     # -- observability ---------------------------------------------------
     def metrics(self) -> dict:

@@ -28,10 +28,15 @@ Either way the orphaned lease is reported to ``on_result`` as
 ``("died", reason)``, which releases the key back to the queue exactly
 like a SIGKILLed local shard: one charged retry, never a stranded spec.
 
-With ``width=0`` and no remote workers attached, the broker executes
-leases inline on the loop's default executor — the no-fleet fallback
-tests and cache-hit-dominated benches rely on.  The moment a remote
-worker attaches, inline execution stops and the fleet does the work.
+With ``width=0`` and no remote workers attached, the broker has one
+inline slot: it executes one lease at a time on the loop's default
+executor, in this process — how a serial ``repro campaign`` runs, and
+the no-fleet fallback tests and cache-hit-dominated benches rely on.
+The moment a remote worker attaches, inline execution stops and the
+fleet does the work.
+
+Members look :func:`repro.campaign.runner._execute` up at call time, so
+a test's patch (``tests/fault_executor.py``) reaches every one of them.
 """
 
 from __future__ import annotations
@@ -40,28 +45,18 @@ import asyncio
 import itertools
 import json
 import multiprocessing
-import os
 import time
 
-from ..campaign.runner import _execute
+from ..campaign import runner
 from .protocol import frame
 
-__all__ = ["LeaseBroker", "RemoteWorker", "shard_count_from_env"]
+__all__ = ["LeaseBroker", "RemoteWorker"]
 
-SHARDS_ENV = "REPRO_SERVE_SHARDS"
 DEFAULT_SHARDS = 2
 DEFAULT_HEARTBEAT_S = 10.0
 DEFAULT_LEASE_TIMEOUT_S = 600.0
 # A worker silent for this many heartbeat intervals is presumed gone.
 MISSED_HEARTBEATS = 3
-
-
-def shard_count_from_env(default: int = DEFAULT_SHARDS) -> int:
-    raw = os.environ.get(SHARDS_ENV, "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
 
 
 def _mp_context():
@@ -82,7 +77,7 @@ def _shard_main(conn) -> None:
             return
         spec = message[1]
         try:
-            body, wall_s = _execute(spec)
+            body, wall_s = runner._execute(spec)
             reply = ("ok", body, wall_s)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
             reply = ("err", repr(exc))
@@ -187,6 +182,7 @@ class LeaseBroker:
         self._worker_ids = itertools.count(1)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
+        self._inline: asyncio.Task | None = None  # the width-0 slot's run
         self.respawns = 0
         self.worker_deaths = 0
         self._closing = False
@@ -236,10 +232,10 @@ class LeaseBroker:
 
     @property
     def free_slots(self) -> int:
+        if self.width == 0 and not self._workers:
+            return 1 if self._inline is None else 0  # no fleet: inline slot
         free = sum(1 for s in self._shards.values() if not s.busy)
         free += sum(1 for w in self._workers.values() if not w.busy)
-        if self.width == 0 and not self._workers:
-            return 1  # no fleet at all: inline fallback, always willing
         return free
 
     @property
@@ -266,19 +262,20 @@ class LeaseBroker:
                     self._detach(worker, "send failed", notify=False)
                     continue
                 return True
-        if self.width == 0 and not self._workers:
-            self._loop.create_task(self._run_inline(key, spec))
+        if self.width == 0 and not self._workers and self._inline is None:
+            self._inline = self._loop.create_task(self._run_inline(key, spec))
             return True
         return False
 
     async def _run_inline(self, key: str, spec) -> None:
         try:
             body, wall_s = await self._loop.run_in_executor(
-                None, _execute, spec
+                None, runner._execute, spec
             )
             outcome = ("ok", body, wall_s)
         except Exception as exc:  # noqa: BLE001
             outcome = ("err", repr(exc))
+        self._inline = None
         self.on_result(key, spec, outcome)
 
     # -- shard completion and death ------------------------------------

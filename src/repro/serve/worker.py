@@ -18,7 +18,7 @@ The conversation:
    "wall_s", "error"}``).
 
 The worker runs :func:`repro.campaign.runner._execute` — the model
-itself — and ships the summary body back as JSON.  It never touches a
+itself, looked up at call time — and ships the summary body back as JSON.  It never touches a
 cache: the *service* finishes the result through the same
 ``_finish`` path a local campaign uses, so a row computed on a remote
 host is byte-identical to one computed by a local shard.  Leases run on
@@ -40,7 +40,7 @@ import os
 import socket
 import time
 
-from ..campaign.runner import _execute
+from ..campaign import runner
 from .protocol import frame, parse_address, spec_from_canonical
 
 __all__ = ["WorkerAuthError", "WorkerDaemon"]
@@ -185,7 +185,7 @@ class WorkerDaemon:
         try:
             spec = spec_from_canonical(message.get("spec"))
             body, wall_s = await self._loop.run_in_executor(
-                None, _execute, spec
+                None, runner._execute, spec
             )
             reply = {"op": "result", "key": key, "status": "ok",
                      "body": body, "wall_s": wall_s}

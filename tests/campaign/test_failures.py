@@ -23,7 +23,6 @@ FP = "test-fp"
 def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv(runner_module.FAIL_ONCE_ENV, raising=False)
 
 
 def _specs():
@@ -120,7 +119,7 @@ class TestCampaignCli:
             assert cache_key(spec, fp) in err
 
     def test_healthy_campaign_still_exits_zero(self, capsys):
-        assert "PYTEST_CURRENT_TEST" in os.environ  # serial jobs
+        assert "REPRO_JOBS" not in os.environ  # serial jobs
         assert main(["campaign", "fig02", "--scale", str(SCALE),
                      "--no-report"]) == 0
         err = capsys.readouterr().err

@@ -1,17 +1,17 @@
 """CampaignRunner: serial/parallel equivalence, retries, events.
 
 The tiny GUPS/MM traces here run in well under a second each, so the
-parallel cases exercise a real ``ProcessPoolExecutor`` (explicitly
-passing ``jobs=`` overrides the runner's serial-under-pytest default).
+parallel cases exercise real worker shards (``tests/conftest.py``
+unsets ``REPRO_JOBS``, so only an explicit ``jobs=`` fans out).
 """
 
 import json
-import os
 
 import pytest
 
-from repro.campaign import CampaignRunner, RunSpec, cache_path, run_cached
-from repro.campaign.runner import FAIL_ONCE_ENV, default_jobs
+from repro.campaign import CampaignRunner, RunSpec, cache_path
+from repro.campaign.runner import default_jobs
+from tests.fault_executor import fail_once
 
 SCALE = 80  # accesses per core: tiny but a full end-to-end simulation
 FP = "test-fp"  # fixed fingerprint so model edits don't churn test files
@@ -21,7 +21,6 @@ FP = "test-fp"  # fixed fingerprint so model edits don't churn test files
 def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv(FAIL_ONCE_ENV, raising=False)
 
 
 def _specs():
@@ -32,20 +31,12 @@ def _specs():
     ]
 
 
-def test_default_jobs_is_serial_under_pytest():
-    assert "PYTEST_CURRENT_TEST" in os.environ
+def test_default_jobs_parses_repro_jobs(monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert default_jobs() == 1
-
-
-def test_run_cached_miss_then_hit():
-    spec = RunSpec(benchmark="MM", policy="dbi", accesses_per_core=SCALE)
-    first = run_cached(spec, fingerprint=FP)
-    assert first.stats["cache_hit"] is False
-    assert first.stats["wall_s"] > 0
-    second = run_cached(spec, fingerprint=FP)
-    assert second.stats["cache_hit"] is True
-    assert second.cycles == first.cycles
-    assert second.total_zeros == first.total_zeros
+    for raw, jobs in (("3", 3), ("0", 1), ("x", 1)):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert default_jobs() == jobs
 
 
 def test_serial_and_parallel_campaigns_agree(tmp_path, monkeypatch):
@@ -88,8 +79,10 @@ def test_duplicate_specs_run_once():
 def test_event_stream_cold_then_warm():
     spec = RunSpec(benchmark="MM", policy="dbi", accesses_per_core=SCALE)
     cold_events = []
-    CampaignRunner(jobs=1, sink=cold_events.append, fingerprint=FP).run(
-        [spec])
+    cold = CampaignRunner(jobs=1, sink=cold_events.append,
+                          fingerprint=FP).run([spec])
+    assert cold[spec].stats["cache_hit"] is False
+    assert cold[spec].stats["wall_s"] > 0
     assert [e.kind for e in cold_events] == ["queued", "started", "finished"]
     finished = cold_events[-1]
     assert finished.spec == spec
@@ -106,7 +99,7 @@ def test_event_stream_cold_then_warm():
 
 def test_worker_failure_is_retried(tmp_path, monkeypatch):
     sentinel = tmp_path / "fail-once"
-    monkeypatch.setenv(FAIL_ONCE_ENV, str(sentinel))
+    fail_once(monkeypatch, sentinel)
     spec = RunSpec(benchmark="MM", policy="dbi", accesses_per_core=SCALE)
     events = []
     runner = CampaignRunner(jobs=1, sink=events.append, fingerprint=FP)
@@ -115,13 +108,14 @@ def test_worker_failure_is_retried(tmp_path, monkeypatch):
     assert runner.counters["retries"] == 1
     assert runner.counters["failed"] == 0
     assert results[spec].cycles > 0
+    # The retry is a second lease, so it starts again.
     assert [e.kind for e in events] == \
-        ["queued", "started", "retried", "finished"]
+        ["queued", "started", "retried", "started", "finished"]
 
 
 def test_retry_budget_exhaustion_raises(tmp_path, monkeypatch):
     sentinel = tmp_path / "fail-once"
-    monkeypatch.setenv(FAIL_ONCE_ENV, str(sentinel))
+    fail_once(monkeypatch, sentinel)
     spec = RunSpec(benchmark="MM", policy="dbi", accesses_per_core=SCALE)
     events = []
     runner = CampaignRunner(jobs=1, sink=events.append, retries=0,
@@ -132,15 +126,15 @@ def test_retry_budget_exhaustion_raises(tmp_path, monkeypatch):
     assert events[-1].kind == "failed"
 
 
-def test_parallel_worker_failure_recovers_in_parent(tmp_path, monkeypatch):
+def test_parallel_worker_failure_is_requeued(tmp_path, monkeypatch):
     sentinel = tmp_path / "fail-once"
-    monkeypatch.setenv(FAIL_ONCE_ENV, str(sentinel))
+    fail_once(monkeypatch, sentinel)
     specs = _specs()[:2]
     runner = CampaignRunner(jobs=2, fingerprint=FP)
     results = runner.run(specs)
     assert len(results) == 2
     assert runner.counters["executed"] == 2
-    # exactly one worker tripped the sentinel; the parent re-ran it
+    # exactly one shard tripped the sentinel; the engine re-queued it
     assert runner.counters["retries"] == 1
     assert runner.counters["failed"] == 0
 

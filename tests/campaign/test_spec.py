@@ -72,24 +72,6 @@ def test_bad_system_override_rejected_at_build_time():
         RunSpec(benchmark="MM", system_overrides={"no_such_field": 1})
 
 
-def test_of_decomposes_replaced_system_config():
-    variant = dataclasses.replace(
-        NIAGARA_SERVER,
-        name="ddr4-server[closed]",
-        page_policy="closed",
-    )
-    spec = RunSpec.of("mm", variant, "mil")
-    assert spec.system == "ddr4-server"
-    assert ("page_policy", "closed") in spec.system_overrides
-    assert ("name", "ddr4-server[closed]") in spec.system_overrides
-    resolved = spec.resolve_system()
-    assert resolved == variant
-
-    plain = RunSpec.of("mm", NIAGARA_SERVER, "mil")
-    assert plain.system == "ddr4-server"
-    assert plain.system_overrides == ()
-
-
 def test_slug_marks_overrides():
     assert RunSpec(benchmark="MM").slug == "MM-ddr4-server-mil-xauto-n5000-s0"
     spec = RunSpec(benchmark="MM", system_overrides=(("page_policy",

@@ -1,11 +1,11 @@
 """A worker dying mid-lease must not strand its RunSpec.
 
-``REPRO_CAMPAIGN_KILL_ONCE`` makes exactly one worker SIGKILL itself
-mid-run.  In a process pool that poisons every in-flight future
-(``BrokenExecutor``); the runner must release those specs back to the
-queue, rebuild the pool, and finish the campaign with every result
-present — the failure mode this guards against is the campaign hanging
-or silently dropping the dead worker's spec.
+``tests.fault_executor.kill_once`` makes exactly one worker shard
+SIGKILL itself mid-run.  The lease broker sees the shard's pipe close;
+the runner's engine must release that spec back to the queue, respawn
+the shard, and finish the campaign with every result present — the
+failure mode this guards against is the campaign hanging or silently
+dropping the dead worker's spec.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import CampaignRunner, RunSpec, cache
-from repro.campaign.runner import KILL_ONCE_ENV
+from tests.fault_executor import kill_once
 
 SCALE = 80
 FP = "test-fp"
@@ -33,7 +33,7 @@ def _specs(n: int) -> list:
 
 
 def test_sigkilled_worker_releases_spec(tmp_path, monkeypatch):
-    monkeypatch.setenv(KILL_ONCE_ENV, str(tmp_path / "kill-sentinel"))
+    kill_once(monkeypatch, tmp_path / "kill-sentinel")
     specs = _specs(4)
     events = []
     runner = CampaignRunner(jobs=2, sink=events.append, fingerprint=FP)
@@ -44,8 +44,8 @@ def test_sigkilled_worker_releases_spec(tmp_path, monkeypatch):
     assert runner.counters["executed"] == len(specs)
     assert runner.counters["failed"] == 0
     assert not runner.failures
-    # The sentinel actually tripped, and the dead worker's specs were
-    # requeued (visible as "retried" events naming the pool break).
+    # The sentinel actually tripped, and the dead worker's spec was
+    # requeued (visible as a "retried" event naming the dead shard).
     assert (tmp_path / "kill-sentinel").exists()
     assert runner.counters["retries"] >= 1
     assert any(e.kind == "retried" for e in events)
@@ -63,7 +63,7 @@ def test_killed_campaign_matches_clean_campaign(tmp_path, monkeypatch):
 
     killed_dir = tmp_path / "killed"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(killed_dir))
-    monkeypatch.setenv(KILL_ONCE_ENV, str(tmp_path / "sentinel2"))
+    kill_once(monkeypatch, tmp_path / "sentinel2")
     killed = CampaignRunner(jobs=2, fingerprint=FP).run(specs)
 
     for spec in specs:

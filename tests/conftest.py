@@ -1,5 +1,9 @@
 """Suite-wide options.
 
+The suite runs campaigns serially: ``REPRO_JOBS`` is unset for the
+whole run (and for the CLI subprocesses it starts), so only a test that
+passes ``jobs=`` explicitly fans out over worker shards.
+
 ``--codec-oracle`` runs the whole session on the per-element reference
 codecs of ``tests/codec_oracle.py`` instead of the vectorised kernels:
 every ``codec_for``, zero table and run in this process (and in the
@@ -7,6 +11,7 @@ campaign workers it forks) goes through the references, and every
 result must come out the same.
 """
 
+import os
 from contextlib import ExitStack
 
 
@@ -19,6 +24,7 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    os.environ.pop("REPRO_JOBS", None)
     if config.getoption("--codec-oracle"):
         from tests.codec_oracle import reference_codecs
 

@@ -14,8 +14,8 @@ import asyncio
 import pytest
 
 from repro.campaign import RunSpec, cache
-from repro.campaign.runner import FAIL_ONCE_ENV, KILL_ONCE_ENV
 from repro.serve.service import CampaignService, ServiceConfig
+from tests.fault_executor import fail_once, kill_once
 
 SCALE = 80
 FP = "test-fp"
@@ -24,8 +24,6 @@ FP = "test-fp"
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv(FAIL_ONCE_ENV, raising=False)
-    monkeypatch.delenv(KILL_ONCE_ENV, raising=False)
 
 
 def spec(seed: int, policy: str = "dbi") -> RunSpec:
@@ -91,7 +89,7 @@ def test_execute_then_cache_hit(tmp_path):
 
 
 def test_retry_with_backoff_recovers(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAIL_ONCE_ENV, str(tmp_path / "fail-once"))
+    fail_once(monkeypatch, tmp_path / "fail-once")
 
     async def body(service):
         job = service.submit_specs([spec(3)])
@@ -106,7 +104,7 @@ def test_retry_with_backoff_recovers(tmp_path, monkeypatch):
 
 def test_retries_exhausted_fails_job(tmp_path, monkeypatch):
     # retries=0 means the single injected failure exhausts the budget.
-    monkeypatch.setenv(FAIL_ONCE_ENV, str(tmp_path / "f0"))
+    fail_once(monkeypatch, tmp_path / "f0")
 
     async def body(service):
         job = service.submit_specs([spec(4)])
@@ -144,7 +142,7 @@ def test_pause_coalesces_duplicate_submissions(tmp_path):
 
 def test_shard_death_releases_lease_and_respawns(tmp_path, monkeypatch):
     """SIGKILLing a shard mid-run must not strand its RunSpec."""
-    monkeypatch.setenv(KILL_ONCE_ENV, str(tmp_path / "kill-once"))
+    kill_once(monkeypatch, tmp_path / "kill-once")
     specs = [spec(s) for s in range(7, 10)]
 
     async def body(service):
@@ -161,6 +159,30 @@ def test_shard_death_releases_lease_and_respawns(tmp_path, monkeypatch):
     assert stats["service"]["died"] == 1
     assert stats["respawns"] == 1
     assert job.counters["retries"] >= 1
+
+
+def test_inline_slot_holds_one_lease_at_a_time(tmp_path):
+    """With no fleet at all, the broker's inline slot runs one lease at
+    a time, like a serial campaign: never two keys out at once."""
+    specs = [spec(s) for s in range(50, 54)]
+
+    async def body(service):
+        peak = 0
+        dispatch = service.pool.dispatch
+
+        def watched(key, sp):
+            nonlocal peak
+            peak = max(peak, service.manager.inflight)
+            return dispatch(key, sp)
+
+        service.pool.dispatch = watched
+        job = service.submit_specs(specs)
+        await wait_terminal(job)
+        assert job.state == "done"
+        assert job.counters["executed"] == len(specs)
+        return peak
+
+    assert with_service(config(tmp_path), body) == 1
 
 
 def test_idle_sweep_enforces_quota(tmp_path):
