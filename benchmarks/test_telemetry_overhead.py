@@ -1,31 +1,17 @@
 """Guard: disabled telemetry adds no measurable cost to hot paths.
 
-Two checks, both about the *disabled* state (the repo default):
+Telemetry is off unless a run is handed a ``TelemetrySession`` (there
+is no process-wide switch).  Two checks about that default:
 
-* The codec-throughput kernel (``line_zeros`` over cache-line batches)
-  must carry zero telemetry gating.  The registered benchmark pair
-  ``telemetry.codec_disabled`` / ``telemetry.codec_enabled`` (see
-  ``repro.bench.suite``) times the same kernel with the global switch
-  off versus fully on-with-a-live-session under the standard
-  ``repro.bench`` timing protocol; the two must agree within 2%.
 * A dormant instrumentation site — the single ``probe is None`` test
   the DRAM channel and decision policies pay per event — must stay in
-  single-digit nanoseconds next to the work it guards.
-
-Both configurations run under the protocol's min-of-repeats statistic,
-so one scheduler hiccup cannot fake a regression; a whole-comparison
-retry absorbs the rest.
+  single-digit nanoseconds next to the work it guards (min of repeats,
+  so one scheduler hiccup cannot fake a regression).
+* A simulation observed by a session summarises byte-identically to an
+  unobserved one.
 """
 
 import time
-
-import pytest
-
-from repro import telemetry
-from repro.bench import get, measure
-
-MAX_OVERHEAD = 0.02
-ATTEMPTS = 3  # whole-comparison retries before failing
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -35,33 +21,6 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_off_by_default():
-    previous = telemetry.set_enabled(False)
-    yield
-    telemetry.set_enabled(previous)
-
-
-def test_codec_throughput_is_unaffected_by_the_global_switch():
-    disabled = get("telemetry.codec_disabled")
-    enabled = get("telemetry.codec_enabled")
-
-    for _ in range(ATTEMPTS):
-        t_disabled = measure(disabled.build(), repeats=9, warmup=1,
-                             inner_ops=disabled.inner_ops).min_ns
-        t_enabled = measure(enabled.build(), repeats=9, warmup=1,
-                            inner_ops=enabled.inner_ops).min_ns
-        # ``enabled`` also constructs a session, so it bounds from above;
-        # the disabled kernel may not exceed it by more than the budget.
-        if t_disabled <= t_enabled * (1 + MAX_OVERHEAD):
-            return
-    pytest.fail(
-        f"disabled-telemetry codec path slower than budget after "
-        f"{ATTEMPTS} attempts: disabled={t_disabled:.1f}ns/op "
-        f"enabled={t_enabled:.1f}ns/op (limit {MAX_OVERHEAD:.0%})"
-    )
 
 
 def test_dormant_probe_site_costs_nanoseconds():
@@ -80,7 +39,7 @@ def test_dormant_probe_site_costs_nanoseconds():
     per_event_ns = best / events * 1e9
     # An empty Python loop iteration alone is ~20-50 ns; budget 200 ns
     # so the guard only trips on real regressions (attribute chains,
-    # dict lookups, enabled() calls) and not on slow CI machines.
+    # dict lookups, function calls) and not on slow CI machines.
     assert per_event_ns < 200, (
         f"dormant probe site costs {per_event_ns:.0f} ns/event"
     )

@@ -10,9 +10,14 @@ its cache key or its summary bytes.
 
 Three consumers:
 
-* ``repro run --audit`` / ``repro campaign --audit`` — post-run audit
-  of real workloads (campaigns propagate the request to worker
-  processes through the :data:`AUDIT_ENV` environment variable);
+* ``repro run --audit``, ``repro campaign --audit`` and ``repro scenario
+  run --audit`` — post-run audit of real workloads.  ``run`` fills an
+  :class:`AuditReport` it passes to
+  :func:`~repro.core.framework.run_spec`; campaigns pass an ``audit``
+  flag down the lease path (``CampaignRunner(audit=True)``, the
+  engine's broker, the forked shard or inline slot) to
+  :func:`repro.campaign.runner._execute`, which raises
+  :class:`ProtocolViolationError` on a dirty report so the run fails;
 * ``repro fuzz`` and the test-suite corpus — the seeded schedule
   fuzzer of :mod:`repro.audit.fuzz`;
 * injected-violation tests — mutated legal logs proving the auditor
@@ -21,30 +26,15 @@ Three consumers:
 
 from __future__ import annotations
 
-import os
-
 from .protocol import ProtocolAuditor, Violation
 
 __all__ = [
-    "AUDIT_ENV",
     "AuditReport",
     "ProtocolAuditor",
     "ProtocolViolationError",
     "Violation",
-    "audit_enabled",
     "audit_simulation",
 ]
-
-# Environment opt-in: set to any non-empty value other than "0" to make
-# every run record its command logs and audit them afterwards.  An env
-# var (rather than a RunSpec field) keeps cache keys byte-identical and
-# reaches campaign worker processes for free.
-AUDIT_ENV = "REPRO_AUDIT"
-
-
-def audit_enabled() -> bool:
-    """True when the :data:`AUDIT_ENV` opt-in is set."""
-    return os.environ.get(AUDIT_ENV, "") not in ("", "0")
 
 
 class ProtocolViolationError(RuntimeError):
@@ -126,7 +116,7 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit_simulation(result, config, report: AuditReport | None = None) -> AuditReport:
+def audit_simulation(result, report: AuditReport | None = None) -> AuditReport:
     """Audit every channel of a :class:`SimulationResult`.
 
     Requires the simulation to have run with command recording on

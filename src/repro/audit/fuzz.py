@@ -76,10 +76,6 @@ class ShuffledScheme:
     def choose(self, controller, request, now: int) -> str:
         return self._rng.choice(self.schemes)
 
-    @property
-    def max_bus_cycles(self) -> int:
-        return max(scheme_info(s).bus_cycles for s in self.schemes)
-
 
 @dataclass(frozen=True)
 class FuzzResult:

@@ -24,10 +24,6 @@ Groups:
 ``campaign.*``
     Cache fingerprinting and key derivation — the costs every campaign
     pays per run.
-``telemetry.*``
-    The codec kernel with telemetry globally off vs. on; the ≤2%
-    disabled-overhead guard in ``benchmarks/test_telemetry_overhead.py``
-    runs these two under the same protocol.
 ``sim.*``
     A small end-to-end run, covering the integrated stack.
 ``scenario.*`` / ``workloads.*``
@@ -426,61 +422,6 @@ def _cache_key():
 
 
 # ----------------------------------------------------------------------
-# telemetry.* — the disabled-overhead contract, same protocol
-# ----------------------------------------------------------------------
-@benchmark(
-    "telemetry.codec_disabled",
-    params={"lines": _LINES, "scheme": "milc"},
-    smoke=True,
-    inner_ops=_LINES,
-    description="milc kernel with telemetry globally off (repo default)",
-)
-def _codec_disabled():
-    from .. import telemetry
-    from ..coding.pipeline import line_zeros
-
-    data = corpus.lines(_LINES)
-
-    def kernel():
-        previous = telemetry.set_enabled(False)
-        try:
-            return line_zeros("milc", data)
-        finally:
-            telemetry.set_enabled(previous)
-
-    return kernel
-
-
-@benchmark(
-    "telemetry.codec_enabled",
-    params={"lines": _LINES, "scheme": "milc"},
-    smoke=True,
-    inner_ops=_LINES,
-    description="milc kernel with telemetry on and a live session",
-)
-def _codec_enabled():
-    from .. import telemetry
-    from ..coding.pipeline import line_zeros
-    from ..telemetry import TelemetrySession
-
-    data = corpus.lines(_LINES)
-
-    def kernel():
-        previous = telemetry.set_enabled(True)
-        try:
-            session = TelemetrySession()
-            assert session is not None
-            return line_zeros("milc", data)
-        finally:
-            telemetry.set_enabled(previous)
-
-    return kernel
-
-
-# ----------------------------------------------------------------------
-# sim.* — end-to-end
-# ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 # scenario.* / workloads.* — scenario-engine hot paths
 # ----------------------------------------------------------------------
 @benchmark(
@@ -521,6 +462,9 @@ def _mixed_trace():
     )
 
 
+# ----------------------------------------------------------------------
+# sim.* — end-to-end
+# ----------------------------------------------------------------------
 @benchmark(
     "sim.run_spec.gups",
     params={"benchmark": "GUPS", "policy": "mil", "accesses_per_core": 120},

@@ -43,17 +43,24 @@ def default_jobs() -> int:
         return 1
 
 
-def _execute(spec: RunSpec) -> tuple[dict, float]:
+def _execute(spec: RunSpec, audit: bool = False) -> tuple[dict, float]:
     """Run one spec fresh; returns (summary dict, wall seconds).
 
+    ``audit`` re-derives the run's command logs (:mod:`repro.audit`)
+    and raises :class:`~repro.audit.ProtocolViolationError` when they
+    break a rule, so the engine fails the run like any run that raised.
     Every execution slot looks this up on the module at call time; the
     framework import is deferred so importing ``repro.campaign`` stays
     cycle-free.
     """
+    from ..audit import AuditReport, ProtocolViolationError
     from ..core.framework import run_spec
 
     started = time.perf_counter()
-    summary = run_spec(spec)
+    report = AuditReport() if audit else None
+    summary = run_spec(spec, audit=report)
+    if report is not None and not report.clean:
+        raise ProtocolViolationError(report)
     return summary.to_dict(), time.perf_counter() - started
 
 
@@ -90,16 +97,23 @@ class CampaignRunner:
         Optional :class:`~repro.telemetry.session.TelemetrySession`
         (``time_unit="seconds"``); phases and per-run spans are recorded
         through its campaign probe.
+    audit:
+        Audit every executed run's command logs; a run that breaks a
+        protocol rule fails with
+        :class:`~repro.audit.ProtocolViolationError`.  Cache hits are
+        not re-simulated.
     """
 
     def __init__(self, jobs: int | None = None, sink=None,
                  retries: int = 1, fingerprint: str | None = None,
-                 strict: bool = True, telemetry=None) -> None:
+                 strict: bool = True, telemetry=None,
+                 audit: bool = False) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.sink = sink or null_sink
         self.retries = retries
         self.fingerprint = fingerprint
         self.strict = strict
+        self.audit = audit
         self.failures: list[tuple[RunSpec, str]] = []
         # Probe resolved once here — wiring time, not per event.
         self._probe = (
@@ -163,7 +177,7 @@ class CampaignRunner:
 
         width = min(self.jobs, manager.queue_depth)
         engine = Engine(manager, width if width > 1 else 0, keep,
-                        retries=self.retries)
+                        retries=self.retries, audit=self.audit)
         try:
             await engine.start()
             async for event in job.log.subscribe():

@@ -66,16 +66,16 @@ Commands
 worker shards campaign-backed commands fan out over; ``-j1`` stays
 serial, in this process.
 
-``run`` and ``campaign`` accept ``--audit`` (record each run's DRAM
-command log and re-derive every Table 2 constraint from it post-run;
-rides outside the run's identity, so cache keys are unchanged) and
-``--telemetry`` (record metrics and a
-cycle/wall-clock event trace; see ``docs/OBSERVABILITY.md``) and
-``--trace-out PATH`` (write ``PATH.trace.json`` in Chrome trace-event
-format — open it at https://ui.perfetto.dev — plus
-``PATH.metrics.jsonl`` for the ``telemetry`` verb; implies
-``--telemetry``; defaults to a stem under ``traces/`` when given no
-value).
+``run``, ``campaign`` and ``scenario run`` accept ``--audit`` (record
+each executed run's DRAM command log and re-derive every Table 2
+constraint from it post-run; rides outside the run's identity, so cache
+keys are unchanged).  ``run`` and ``campaign`` accept ``--telemetry``
+(record metrics and a cycle/wall-clock event trace; see
+``docs/OBSERVABILITY.md``) and ``--trace-out PATH`` (write
+``PATH.trace.json`` in Chrome trace-event format — open it at
+https://ui.perfetto.dev — plus ``PATH.metrics.jsonl`` for the
+``telemetry`` verb; implies ``--telemetry``; defaults to a stem under
+``traces/`` when given no value).
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def _telemetry_session(args, label: str, time_unit: str):
     """Build a TelemetrySession when --telemetry/--trace-out ask for one."""
     if not (args.telemetry or args.trace_out):
         return None
-    from . import telemetry
+    from .telemetry import TelemetrySession
 
-    telemetry.set_enabled(True)
-    return telemetry.TelemetrySession(label=label, time_unit=time_unit)
+    return TelemetrySession(label=label, time_unit=time_unit)
 
 
 def _write_telemetry(stem: str, session) -> None:
@@ -300,26 +299,10 @@ def cmd_campaign(args) -> int:
     session = _telemetry_session(args, "campaign", time_unit="seconds")
     sink = ProgressLine()
     runner = CampaignRunner(
-        jobs=args.jobs, sink=sink, strict=False, telemetry=session
+        jobs=args.jobs, sink=sink, strict=False, telemetry=session,
+        audit=args.audit,
     )
-    # --audit rides on an environment opt-in so worker processes inherit
-    # it and cache keys stay byte-identical (tests call main()
-    # in-process, so the previous value is restored either way).
-    import os
-
-    from .audit import AUDIT_ENV
-
-    previous_audit = os.environ.get(AUDIT_ENV)
-    if args.audit:
-        os.environ[AUDIT_ENV] = "1"
-    try:
-        runner.run(specs)
-    finally:
-        if args.audit:
-            if previous_audit is None:
-                os.environ.pop(AUDIT_ENV, None)
-            else:
-                os.environ[AUDIT_ENV] = previous_audit
+    runner.run(specs)
     sink.close()
     c = runner.counters
     print(
@@ -388,26 +371,16 @@ def cmd_suite(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import dataclasses
-
     from .analysis.tracedump import (
         audit_dump,
         dump_transactions_csv,
         dump_transactions_jsonl,
     )
-    from .coding.pipeline import precompute_line_zeros
-    from .core.policies import make_factory, sent_schemes
-    from .system.simulator import simulate
-    from .workloads.benchmarks import build_trace
+    from .core.framework import simulate_run
 
     config = _system(args.system)
-    trace = build_trace(args.benchmark.upper(), config,
-                        accesses_per_core=args.scale)
-    zeros = precompute_line_zeros(
-        trace.line_data, sent_schemes(args.policy),
-        digest=trace.line_digest,
-    )
-    result = simulate(trace, config, make_factory(args.policy, zeros))
+    _, _, result = simulate_run(args.benchmark.upper(), config, args.policy,
+                                accesses_per_core=args.scale)
     # Each channel has its own data bus, so each gets its own dump and
     # its own audit (a merged file would interleave unrelated buses).
     stem, dot, suffix = args.output.rpartition(".")
@@ -428,7 +401,6 @@ def cmd_trace(args) -> int:
             failed = True
             for problem in report["violations"][:5]:
                 print(f"  {problem}")
-    del dataclasses  # imported for symmetry with other commands
     return 1 if failed else 0
 
 
@@ -610,47 +582,34 @@ def cmd_scenario(args) -> int:
         sys.exit("scenario run: --out only applies to a single scenario "
                  "(each scenario writes its own JSONL)")
 
-    # run: same environment-scoped --audit plumbing as cmd_campaign so
-    # worker processes inherit the opt-in without touching cache keys.
-    from .audit import AUDIT_ENV
-
-    previous_audit = os.environ.get(AUDIT_ENV)
-    if args.audit:
-        os.environ[AUDIT_ENV] = "1"
     failed = False
-    try:
-        for scn in scenarios:
-            sink = ProgressLine()
-            result = run_scenario(scn, jobs=args.jobs, sink=sink)
-            sink.close()
-            out = Path(args.out) if args.out else (
-                Path("results") / "scenarios" / f"{scn.name}.jsonl"
-            )
-            write_rows(out, result.rows)
-            c = result.counters
-            print(
-                f"scenario {scn.name}: {c['specs']} runs — "
-                f"{c['cache_hits']} cache hits, {c['executed']} executed "
-                f"({c['wall_s']:.1f}s simulated work, {c['retries']} "
-                f"retries, {c['failed']} failed) -> {out}",
-                file=sys.stderr,
-            )
-            if not result.ok:
-                failed = True
-                from .campaign import cache
+    for scn in scenarios:
+        sink = ProgressLine()
+        result = run_scenario(scn, jobs=args.jobs, sink=sink,
+                              audit=args.audit)
+        sink.close()
+        out = Path(args.out) if args.out else (
+            Path("results") / "scenarios" / f"{scn.name}.jsonl"
+        )
+        write_rows(out, result.rows)
+        c = result.counters
+        print(
+            f"scenario {scn.name}: {c['specs']} runs — "
+            f"{c['cache_hits']} cache hits, {c['executed']} executed "
+            f"({c['wall_s']:.1f}s simulated work, {c['retries']} "
+            f"retries, {c['failed']} failed) -> {out}",
+            file=sys.stderr,
+        )
+        if not result.ok:
+            failed = True
+            from .campaign import cache
 
-                print(f"scenario {scn.name} FAILED: "
-                      f"{len(result.failures)} run(s) died after retries:",
+            print(f"scenario {scn.name} FAILED: "
+                  f"{len(result.failures)} run(s) died after retries:",
+                  file=sys.stderr)
+            for spec, error in result.failures:
+                print(f"  {cache.cache_key(spec)}: {error}",
                       file=sys.stderr)
-                for spec, error in result.failures:
-                    print(f"  {cache.cache_key(spec)}: {error}",
-                          file=sys.stderr)
-    finally:
-        if args.audit:
-            if previous_audit is None:
-                os.environ.pop(AUDIT_ENV, None)
-            else:
-                os.environ[AUDIT_ENV] = previous_audit
     return 1 if failed else 0
 
 

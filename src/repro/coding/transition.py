@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitops import popcount_bytes
-
 __all__ = ["TransitionSignaling"]
 
 
@@ -102,16 +100,3 @@ class TransitionSignaling:
         which is why LPDDR3 reuses the DDR4 zero counts wholesale.
         """
         return int(self._to_flips(np.asarray(bits, dtype=np.uint8)).sum())
-
-    def count_flips_bytes(self, data: np.ndarray) -> int:
-        """Wire flips for transmitting uint8 *bytes* (without state change).
-
-        Byte-domain twin of :meth:`count_flips` for whole traces: never
-        unpacks to bits — a popcount over the payload is the entire
-        kernel.  Flip-on-0 pays for the 0 bits, flip-on-1 for the 1 bits.
-        """
-        data = np.asarray(data, dtype=np.uint8)
-        ones = int(popcount_bytes(data.reshape(-1), axis=-1))
-        if self.flip_on == 0:
-            return data.size * 8 - ones
-        return ones

@@ -85,10 +85,6 @@ class AlwaysScheme:
             self.probe.decision(now, "fixed", self.scheme)
         return self.scheme
 
-    @property
-    def max_bus_cycles(self) -> int:
-        return scheme_info(self.scheme).bus_cycles
-
 
 class ChannelController:
     """Event-skipping memory controller for one channel."""

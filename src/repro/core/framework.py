@@ -36,8 +36,8 @@ from ..workloads.benchmarks import DEFAULT_ACCESSES_PER_CORE, build_trace
 from .decision import MiLPolicy
 from .policies import get_policy, make_factory, policy_table, sent_schemes
 
-__all__ = ["RunSummary", "run", "run_spec", "energy_params_for",
-           "system_energy_params_for"]
+__all__ = ["RunSummary", "run", "run_spec", "simulate_run",
+           "energy_params_for", "system_energy_params_for"]
 
 __doc__ = (__doc__ or "") + policy_table() + "\n"
 
@@ -109,6 +109,43 @@ class RunSummary:
         return cls(**data)
 
 
+def simulate_run(
+    benchmark: str,
+    config: SystemConfig,
+    policy: str = "mil",
+    lookahead: int | None = None,
+    accesses_per_core: int = DEFAULT_ACCESSES_PER_CORE,
+    seed: int = 0,
+    mil_overrides: dict | None = None,
+    telemetry=None,
+    record_commands: bool = False,
+):
+    """The first half of a run: trace, zero tables, policy, simulation.
+
+    Returns ``(trace, zero_tables, SimulationResult)``.  This is the one
+    place that picks the zero tables a policy can send
+    (:func:`~repro.core.policies.sent_schemes`: a mil run never sends a
+    CAFO burst, and CAFO's tables are the costliest to build) and builds
+    that policy's factory.  :func:`run` summarises its result; ``repro
+    trace`` and the studies that read simulator internals call it
+    directly.  Every stage is looked up on this module at call time, so
+    a caller that wraps one (perfbench's per-layer timers) sees it.
+    """
+    trace = build_trace(
+        benchmark, config, seed=seed, accesses_per_core=accesses_per_core
+    )
+    zeros_by_scheme = precompute_line_zeros(
+        trace.line_data, sent_schemes(policy, mil_overrides),
+        digest=trace.line_digest,
+    )
+    factory = make_factory(policy, zeros_by_scheme, lookahead, mil_overrides)
+    result = simulate(
+        trace, config, factory, telemetry=telemetry,
+        record_commands=record_commands,
+    )
+    return trace, zeros_by_scheme, result
+
+
 def run(
     benchmark: str,
     config: SystemConfig,
@@ -133,34 +170,12 @@ def run(
 
     ``audit`` is an optional :class:`~repro.audit.AuditReport` to fill
     with a post-run protocol audit (see :mod:`repro.audit`); like
-    telemetry, it rides outside the run's identity.  When the
-    ``REPRO_AUDIT`` environment opt-in is set and no report was passed
-    (the campaign-worker path), a failed audit raises
-    :class:`~repro.audit.ProtocolViolationError` instead, so the
-    campaign runner collects it as a per-run failure.
+    telemetry, it rides outside the run's identity, and its digest
+    lands in ``RunSummary.stats``.
     """
-    from ..audit import (
-        AuditReport,
-        ProtocolViolationError,
-        audit_enabled,
-        audit_simulation,
-    )
-
-    want_audit = audit is not None or audit_enabled()
-    trace = build_trace(
-        benchmark, config, seed=seed, accesses_per_core=accesses_per_core
-    )
-    # Only the tables this run can consult: a mil run never sends a
-    # CAFO burst, and CAFO's tables are the costliest to build.
-    zeros_by_scheme = precompute_line_zeros(
-        trace.line_data, sent_schemes(policy, mil_overrides),
-        digest=trace.line_digest,
-    )
-    factory = make_factory(policy, zeros_by_scheme, lookahead, mil_overrides)
-
-    result = simulate(
-        trace, config, factory, telemetry=telemetry,
-        record_commands=want_audit,
+    trace, zeros_by_scheme, result = simulate_run(
+        benchmark, config, policy, lookahead, accesses_per_core, seed,
+        mil_overrides, telemetry=telemetry, record_commands=audit is not None,
     )
 
     # Energy: only defined for policies whose schemes have codecs.
@@ -247,12 +262,10 @@ def run(
     )
     if telemetry is not None:
         summary.stats["telemetry"] = telemetry.stats_table()
-    if want_audit:
-        report = audit if audit is not None else AuditReport()
-        audit_simulation(result, config, report)
-        summary.stats["audit"] = report.to_table()
-        if audit is None and not report.clean:
-            raise ProtocolViolationError(report)
+    if audit is not None:
+        from ..audit import audit_simulation
+
+        summary.stats["audit"] = audit_simulation(result, audit).to_table()
     return summary
 
 

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coding.pipeline import precompute_line_zeros
-from ..core.framework import energy_params_for
-from ..core.policies import make_factory, sent_schemes
+from ..core.framework import energy_params_for, simulate_run
 from ..energy.dram_power import DramEnergyModel
 from ..system.machine import NIAGARA_SERVER
-from ..system.simulator import simulate
-from ..workloads.benchmarks import BENCHMARK_ORDER, build_trace
+from ..workloads.benchmarks import BENCHMARK_ORDER
 from .base import ExperimentResult
 from .runner import EXPERIMENT_ACCESSES_PER_CORE
 
@@ -34,27 +31,26 @@ def run_experiment(
     params = energy_params_for(NIAGARA_SERVER)
     plain = DramEnergyModel(params)
     powerdown = DramEnergyModel(params, fast_powerdown=True)
-    # Only the tables the two policies can send (dbi; milc and 3lwc).
-    schemes = tuple(dict.fromkeys(sent_schemes("dbi") + sent_schemes("mil")))
 
     rows = []
     savings_plain = []
     savings_pd = []
     for bench in BENCHMARK_ORDER:
-        trace = build_trace(bench, NIAGARA_SERVER,
-                            accesses_per_core=accesses_per_core)
-        zeros = precompute_line_zeros(trace.line_data, schemes,
-                                      digest=trace.line_digest)
-        base = simulate(trace, NIAGARA_SERVER, make_factory("dbi", zeros))
-        mil = simulate(trace, NIAGARA_SERVER, make_factory("mil", zeros))
+        # Both runs replay the same (process-cached) trace.
+        _, base_zeros, base = simulate_run(
+            bench, NIAGARA_SERVER, "dbi", accesses_per_core=accesses_per_core
+        )
+        _, mil_zeros, mil = simulate_run(
+            bench, NIAGARA_SERVER, "mil", accesses_per_core=accesses_per_core
+        )
 
         s_plain = 1 - (
-            plain.evaluate(mil, zeros).total
-            / plain.evaluate(base, zeros).total
+            plain.evaluate(mil, mil_zeros).total
+            / plain.evaluate(base, base_zeros).total
         )
         s_pd = 1 - (
-            powerdown.evaluate(mil, zeros).total
-            / powerdown.evaluate(base, zeros).total
+            powerdown.evaluate(mil, mil_zeros).total
+            / powerdown.evaluate(base, base_zeros).total
         )
         rows.append([bench, s_plain, s_pd])
         savings_plain.append(s_plain)

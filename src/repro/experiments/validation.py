@@ -11,18 +11,18 @@ baseline so that claim is *measured*, not asserted:
 * data statistics: zero-byte fraction and per-line DBI zeros of the
   actual transferred payloads.
 
-Runs fresh (uncached) because it reaches into simulator internals that
-the cached summaries do not carry.
+Runs fresh (uncached, through :func:`~repro.core.framework.simulate_run`)
+because it reaches into simulator internals that the cached summaries do
+not carry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..coding.pipeline import precompute_line_zeros
+from ..core.framework import simulate_run
 from ..system.machine import NIAGARA_SERVER
-from ..system.simulator import simulate
-from ..workloads.benchmarks import BENCHMARK_ORDER, build_trace
+from ..workloads.benchmarks import BENCHMARK_ORDER
 from .base import ExperimentResult
 from .runner import EXPERIMENT_ACCESSES_PER_CORE
 
@@ -35,9 +35,9 @@ def run_experiment(
     rows = []
     utils = []
     for bench in BENCHMARK_ORDER:
-        trace = build_trace(bench, NIAGARA_SERVER,
-                            accesses_per_core=accesses_per_core)
-        result = simulate(trace, NIAGARA_SERVER)
+        trace, zeros, result = simulate_run(
+            bench, NIAGARA_SERVER, "dbi", accesses_per_core=accesses_per_core
+        )
 
         bursts = sum(
             mc.channel.read_count + mc.channel.write_count
@@ -49,7 +49,6 @@ def run_experiment(
         row_hit_rate = 1 - activates / bursts if bursts else 0.0
 
         total = trace.total_records or 1
-        zeros = precompute_line_zeros(trace.line_data, ("dbi",))["dbi"]
         zero_bytes = float((trace.line_data == 0).mean())
 
         rows.append([
@@ -62,7 +61,7 @@ def run_experiment(
             trace.writes / total,
             trace.prefetches / total,
             zero_bytes,
-            float(zeros.mean()),
+            float(zeros["dbi"].mean()),
         ])
         utils.append(result.bus_utilization)
 

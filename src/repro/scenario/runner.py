@@ -42,18 +42,21 @@ def run_scenario(
     sink=None,
     fingerprint: str | None = None,
     telemetry=None,
+    audit: bool = False,
 ) -> ScenarioResult:
     """Execute a scenario's matrix and build its JSONL rows.
 
     Failures are collected (``strict=False``), not raised: the rows for
     failed specs are simply absent, and the caller decides whether a
     partial time series is worth keeping (the CLI exits non-zero and
-    names every failed cache key).
+    names every failed cache key).  ``audit`` is
+    :class:`~repro.campaign.runner.CampaignRunner`'s: a run whose
+    command logs break a protocol rule is one of those failures.
     """
     specs = compile_scenario(scenario)
     runner = CampaignRunner(
         jobs=jobs, sink=sink, strict=False,
-        fingerprint=fingerprint, telemetry=telemetry,
+        fingerprint=fingerprint, telemetry=telemetry, audit=audit,
     )
     results = runner.run(specs)
     rev = git_rev()  # one subprocess per scenario, not per row

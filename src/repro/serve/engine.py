@@ -42,6 +42,9 @@ class Engine:
 
     ``shards`` is the local fleet width (0 = one inline slot).  ``probe``
     is an optional :class:`~repro.telemetry.probes.ServiceProbe`.
+    ``audit`` goes to the broker, which audits every run its shards and
+    inline slot execute (a campaign's ``--audit``; the service never
+    sets it).
     """
 
     def __init__(self, manager, shards: int, on_settled, retries: int,
@@ -49,7 +52,7 @@ class Engine:
                  backoff_max_s: float = BACKOFF_MAX_S,
                  heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                  lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-                 probe=None) -> None:
+                 probe=None, audit: bool = False) -> None:
         self.manager = manager
         self.on_settled = on_settled
         self.retries = retries
@@ -61,6 +64,7 @@ class Engine:
             heartbeat_s=heartbeat_s,
             lease_timeout_s=lease_timeout_s,
             on_fleet_change=self._fleet_changed,
+            audit=audit,
         )
         # Drop per-key retry bookkeeping the moment the manager forgets
         # a unit (e.g. every waiter cancelled mid-backoff) — otherwise

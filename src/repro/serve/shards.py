@@ -29,14 +29,17 @@ Either way the orphaned lease is reported to ``on_result`` as
 like a SIGKILLed local shard: one charged retry, never a stranded spec.
 
 With ``width=0`` and no remote workers attached, the broker has one
-inline slot: it executes one lease at a time on the loop's default
-executor, in this process — how a serial ``repro campaign`` runs, and
-the no-fleet fallback tests and cache-hit-dominated benches rely on.
-The moment a remote worker attaches, inline execution stops and the
-fleet does the work.
+inline slot: it executes one lease at a time on a daemon thread, in
+this process — how a serial ``repro campaign`` runs, and the no-fleet
+fallback tests and cache-hit-dominated benches rely on.  The thread is
+not the loop's executor, which ``asyncio.run`` joins at shutdown: a
+Ctrl-C does not wait for the running spec.  The moment a remote worker
+attaches, inline execution stops and the fleet does the work.
 
-Members look :func:`repro.campaign.runner._execute` up at call time, so
-a test's patch (``tests/fault_executor.py``) reaches every one of them.
+Shards and the inline slot call :func:`repro.campaign.runner._execute`
+with the broker's ``audit`` flag (remote workers never audit).  Members
+look it up at call time, so a test's patch
+(``tests/fault_executor.py``) reaches every one of them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import asyncio
 import itertools
 import json
 import multiprocessing
+import threading
 import time
 
 from ..campaign import runner
@@ -66,7 +70,7 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _shard_main(conn) -> None:
+def _shard_main(conn, audit: bool) -> None:
     """Worker loop: one spec in, one summary out, until ``stop``."""
     while True:
         try:
@@ -77,7 +81,7 @@ def _shard_main(conn) -> None:
             return
         spec = message[1]
         try:
-            body, wall_s = runner._execute(spec)
+            body, wall_s = runner._execute(spec, audit)
             reply = ("ok", body, wall_s)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
             reply = ("err", repr(exc))
@@ -92,11 +96,11 @@ class _Shard:
 
     __slots__ = ("index", "proc", "conn", "lease", "completed")
 
-    def __init__(self, index: int, ctx) -> None:
+    def __init__(self, index: int, ctx, audit: bool) -> None:
         self.index = index
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_shard_main, args=(child,),
+            target=_shard_main, args=(child, audit),
             name=f"repro-serve-shard-{index}", daemon=True,
         )
         self.proc.start()
@@ -169,12 +173,13 @@ class LeaseBroker:
     def __init__(self, width: int, on_result,
                  heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                  lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-                 on_fleet_change=None) -> None:
+                 on_fleet_change=None, audit: bool = False) -> None:
         self.width = max(0, int(width))
         self.on_result = on_result
         self.heartbeat_s = heartbeat_s
         self.lease_timeout_s = lease_timeout_s
         self.on_fleet_change = on_fleet_change
+        self.audit = audit
         self._ctx = _mp_context()
         self._shards: dict[int, _Shard] = {}
         self._workers: dict[str, RemoteWorker] = {}
@@ -198,7 +203,7 @@ class LeaseBroker:
             )
 
     def _spawn(self) -> _Shard:
-        shard = _Shard(next(self._indices), self._ctx)
+        shard = _Shard(next(self._indices), self._ctx, self.audit)
         self._shards[shard.index] = shard
         self._loop.add_reader(
             shard.conn.fileno(), self._on_readable, shard
@@ -268,15 +273,31 @@ class LeaseBroker:
         return False
 
     async def _run_inline(self, key: str, spec) -> None:
+        done = self._loop.create_future()
+        threading.Thread(
+            target=self._inline_lease, args=(spec, done),
+            name="repro-inline-lease", daemon=True,
+        ).start()
+        outcome = await done
+        self._inline = None
+        self.on_result(key, spec, outcome)
+
+    def _inline_lease(self, spec, done: asyncio.Future) -> None:
+        """The inline slot's thread: run, then post the outcome."""
         try:
-            body, wall_s = await self._loop.run_in_executor(
-                None, runner._execute, spec
-            )
+            body, wall_s = runner._execute(spec, self.audit)
             outcome = ("ok", body, wall_s)
         except Exception as exc:  # noqa: BLE001
             outcome = ("err", repr(exc))
-        self._inline = None
-        self.on_result(key, spec, outcome)
+
+        def post() -> None:
+            if not done.done():  # not abandoned by a cancelled slot
+                done.set_result(outcome)
+
+        try:
+            self._loop.call_soon_threadsafe(post)
+        except RuntimeError:
+            pass  # the loop closed: nobody is waiting for this lease
 
     # -- shard completion and death ------------------------------------
     def _on_readable(self, shard: _Shard) -> None:

@@ -15,15 +15,12 @@ The subsystem has four pieces (see ``docs/OBSERVABILITY.md``):
 :mod:`~repro.telemetry.export`
     JSON-lines metrics dumps and Chrome trace-event files (Perfetto).
 
-The module-level enabled flag is the one switch the CLI flips for
-``--telemetry``; library callers may also construct a
-:class:`TelemetrySession` directly and pass it down, which needs no
-global state at all.
+There is no process-wide switch: a run is observed when it is handed
+a :class:`TelemetrySession` (the CLI builds one for ``--telemetry``;
+library callers construct their own and pass it down).
 """
 
 from __future__ import annotations
-
-import os
 
 from .clock import monotonic_ts
 from .export import (
@@ -50,42 +47,9 @@ __all__ = [
     "TraceBuffer",
     "TraceEvent",
     "chrome_trace_events",
-    "enabled",
     "load_metrics_jsonl",
     "monotonic_ts",
-    "session_if_enabled",
-    "set_enabled",
     "write_chrome_trace",
     "write_metrics_jsonl",
 ]
 
-# Checked once at wiring time (never per event).  Defaults to off; the
-# REPRO_TELEMETRY environment variable pre-enables it for whole-process
-# runs (e.g. campaign workers), the CLI's --telemetry flag flips it for
-# one command.
-_ENABLED = bool(os.environ.get("REPRO_TELEMETRY"))
-
-
-def enabled() -> bool:
-    """Is telemetry globally enabled for this process?"""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Flip the global switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-def session_if_enabled(**kwargs) -> TelemetrySession | None:
-    """A fresh :class:`TelemetrySession` when enabled, else ``None``.
-
-    The ``None`` is what keeps the disabled path free: components wired
-    with no session never construct probes, so their instrumentation
-    sites reduce to one identity comparison.
-    """
-    if not _ENABLED:
-        return None
-    return TelemetrySession(**kwargs)

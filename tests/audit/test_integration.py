@@ -1,23 +1,35 @@
 """Integration: the audit layer wired through controller, runs, and CLI."""
 
-import os
-
 import pytest
 
 from repro.audit import (
-    AUDIT_ENV,
     AuditReport,
+    ProtocolAuditor,
     ProtocolViolationError,
     Violation,
-    audit_enabled,
 )
 from repro.audit.fuzz import fuzz_controller
+from repro.campaign import CampaignRunner
 from repro.campaign.spec import RunSpec
 from repro.cli import main
 from repro.core.framework import run_spec
 from repro.dram import DDR4_3200, DDR4_GEOMETRY
 
 SPEC = RunSpec(benchmark="GUPS", policy="mil", accesses_per_core=200)
+FAKE = Violation(constraint="tFAW", cycle=47, rank=0,
+                 message="injected by the test")
+
+
+@pytest.fixture()
+def dirty_auditor(tmp_path, monkeypatch):
+    """Every channel audit reports one violation; the cache is private.
+
+    Patched on the class before any shard forks, so forked shards
+    inherit it.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
+    monkeypatch.setattr(ProtocolAuditor, "audit",
+                        lambda self, commands, transactions=None: [FAKE])
 
 
 class TestControllerAudit:
@@ -52,20 +64,7 @@ class TestRunSpecAudit:
         assert digest["commands"] == report.commands
         assert digest["by_constraint"] == {}
 
-    def test_env_mode_audits_and_passes(self, monkeypatch):
-        monkeypatch.setenv(AUDIT_ENV, "1")
-        assert audit_enabled()
-        summary = run_spec(SPEC)  # raises ProtocolViolationError if dirty
-        assert summary.stats["audit"]["violations"] == 0
-
-    def test_env_zero_means_disabled(self, monkeypatch):
-        monkeypatch.setenv(AUDIT_ENV, "0")
-        assert not audit_enabled()
-        summary = run_spec(SPEC)
-        assert "audit" not in summary.stats
-
-    def test_default_run_records_nothing(self, monkeypatch):
-        monkeypatch.delenv(AUDIT_ENV, raising=False)
+    def test_default_run_records_nothing(self):
         summary = run_spec(SPEC)
         assert "audit" not in summary.stats
 
@@ -128,23 +127,52 @@ class TestCliAudit:
         assert "protocol audit" in err
         assert "clean" in err
 
-    def test_campaign_audit_restores_env(self, tmp_path, monkeypatch,
-                                          capsys):
+    def test_campaign_audit_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
-        monkeypatch.delenv(AUDIT_ENV, raising=False)
         assert main([
             "campaign", "fig02", "--scale", "80", "--no-report", "--audit",
         ]) == 0
-        assert AUDIT_ENV not in os.environ
         err = capsys.readouterr().err
+        assert "4 executed" in err
         assert "0 failed" in err
 
-    def test_campaign_audit_preserves_prior_env_value(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
-        monkeypatch.setenv(AUDIT_ENV, "please")
+    def test_campaign_audit_flag_reaches_the_runs(self, dirty_auditor,
+                                                  capsys):
         assert main([
             "campaign", "fig02", "--scale", "80", "--no-report", "--audit",
-        ]) == 0
-        assert os.environ[AUDIT_ENV] == "please"
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "campaign FAILED: 4 run(s)" in err
+        assert "ProtocolViolationError" in err
+
+
+class TestAuditTransport:
+    """``audit`` travels with the lease: runner, engine, broker, slot."""
+
+    SPECS = [
+        RunSpec(benchmark="GUPS", policy=policy, accesses_per_core=80)
+        for policy in ("dbi", "mil")
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "shards"])
+    def test_dirty_audit_fails_every_executed_run(self, dirty_auditor,
+                                                  jobs):
+        runner = CampaignRunner(jobs=jobs, audit=True, strict=False,
+                                retries=0)
+        assert runner.run(self.SPECS) == {}
+        assert runner.counters["failed"] == len(self.SPECS)
+        assert sorted(s.policy for s, _ in runner.failures) == [
+            "dbi", "mil",
+        ]
+        for _, error in runner.failures:
+            assert error.startswith("ProtocolViolationError(")
+            assert "injected by the test" in error
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "shards"])
+    def test_unaudited_runs_ignore_the_dirty_auditor(self, dirty_auditor,
+                                                     jobs):
+        runner = CampaignRunner(jobs=jobs, strict=False, retries=0)
+        results = runner.run(self.SPECS)
+        assert set(results) == set(self.SPECS)
+        assert runner.failures == []
+        assert all("audit" not in s.stats for s in results.values())

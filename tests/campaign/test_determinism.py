@@ -153,22 +153,26 @@ class TestAuditOutsideRunIdentity:
 
     The audit digest lands in ``stats`` (stripped by
     :func:`_canonical_summary`, exactly like telemetry's wall-clock
-    entries), and the opt-in travels via environment variable rather
-    than a RunSpec field — so summaries stay byte-identical and cache
-    keys are untouched whether auditing is off, on via ``audit=``, or
-    on via ``REPRO_AUDIT``.
+    entries), and the opt-in travels as an argument beside the spec
+    (``run_spec(audit=)``, ``_execute(spec, audit)``) rather than as a
+    RunSpec field — so summaries stay byte-identical and cache keys are
+    untouched whether auditing is off or on.
     """
 
-    def test_env_opt_in_leaves_summary_bytes_unchanged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        plain = _canonical_summary(SPEC)
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert _canonical_summary(SPEC) == plain
+    def test_audited_lease_leaves_summary_bytes_unchanged(self):
+        from repro.campaign.runner import _execute
 
-    def test_report_mode_leaves_summary_bytes_unchanged(self, monkeypatch):
+        plain, _ = _execute(SPEC)
+        audited, _ = _execute(SPEC, True)
+        assert "audit" not in plain.pop("stats")
+        assert audited.pop("stats")["audit"]["violations"] == 0
+        assert json.dumps(audited, sort_keys=True) == json.dumps(
+            plain, sort_keys=True
+        )
+
+    def test_report_mode_leaves_summary_bytes_unchanged(self):
         from repro.audit import AuditReport
 
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
         plain = _canonical_summary(SPEC)
         report = AuditReport()
         summary = run_spec(SPEC, audit=report).to_dict()

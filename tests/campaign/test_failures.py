@@ -37,10 +37,10 @@ def _failing_execute(predicate):
     """Wrap the real executor to die persistently on matching specs."""
     real = runner_module._execute
 
-    def execute(spec):
+    def execute(spec, audit=False):
         if predicate(spec):
             raise RuntimeError(f"injected persistent failure: {spec.slug}")
-        return real(spec)
+        return real(spec, audit)
 
     return execute
 

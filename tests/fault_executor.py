@@ -38,10 +38,10 @@ def fail_once(monkeypatch, sentinel) -> None:
     """The next run raises ``RuntimeError("injected worker failure ...")``."""
     real = runner._execute
 
-    def execute(spec):
+    def execute(spec, audit=False):
         if _trip_once(sentinel):
             raise RuntimeError(f"injected worker failure for {spec.slug}")
-        return real(spec)
+        return real(spec, audit)
 
     monkeypatch.setattr(runner, "_execute", execute)
 
@@ -51,9 +51,9 @@ def kill_once(monkeypatch, sentinel) -> None:
     real = runner._execute
     installer = os.getpid()
 
-    def execute(spec):
+    def execute(spec, audit=False):
         if os.getpid() != installer and _trip_once(sentinel):
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(spec)
+        return real(spec, audit)
 
     monkeypatch.setattr(runner, "_execute", execute)

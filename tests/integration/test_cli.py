@@ -4,16 +4,7 @@ import json
 
 import pytest
 
-from repro import telemetry
 from repro.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _restore_telemetry_flag():
-    """--telemetry flips the process-wide switch; undo it per test."""
-    previous = telemetry.enabled()
-    yield
-    telemetry.set_enabled(previous)
 
 
 class TestList:
@@ -143,4 +134,3 @@ class TestTelemetry:
         assert main(["run", "MM", "--scale", "400"]) == 0
         out = capsys.readouterr().out
         assert "telemetry" not in out
-        assert not telemetry.enabled()

@@ -106,3 +106,26 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["scenario", "run", str(path), str(other), "--out",
                   str(tmp_path / "x.jsonl")])
+
+
+class TestRunAudit:
+    def test_audit_flag_audits_every_executed_run(self, corpus, tmp_path,
+                                                  monkeypatch, capsys):
+        from repro.audit import ProtocolAuditor, Violation
+
+        _, path = corpus
+        out = tmp_path / "rows.jsonl"
+        argv = ["scenario", "run", str(path), "--out", str(out)]
+        assert main(argv + ["--audit"]) == 0  # clean runs pass
+        assert "2 executed" in capsys.readouterr().err
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cold"))
+        dirty = Violation("tFAW", 47, 0, "injected by the test")
+        monkeypatch.setattr(ProtocolAuditor, "audit",
+                            lambda self, commands, transactions=None:
+                            [dirty])
+        assert main(argv + ["--audit"]) == 1
+        err = capsys.readouterr().err
+        assert "SYN-CLI FAILED: 2 run(s)" in err
+        assert "ProtocolViolationError" in err
+        assert main(argv) == 0  # unaudited runs pass under the same patch

@@ -185,6 +185,54 @@ def test_inline_slot_holds_one_lease_at_a_time(tmp_path):
     assert with_service(config(tmp_path), body) == 1
 
 
+def test_inline_lease_does_not_hold_loop_shutdown(monkeypatch):
+    """A running inline lease must not keep ``asyncio.run`` from
+    returning (what Ctrl-C on a serial campaign waits for): the slot's
+    thread is a daemon, not a loop executor thread joined at shutdown."""
+    import threading
+    import time
+
+    from repro.campaign import runner
+    from repro.serve.shards import LeaseBroker
+
+    release = threading.Event()
+    started = threading.Event()
+
+    def blocked(spec, audit=False):
+        started.set()
+        release.wait(5)
+        return {}, 0.0
+
+    monkeypatch.setattr(runner, "_execute", blocked)
+    outcomes = []
+
+    async def main():
+        broker = LeaseBroker(0, lambda *outcome: outcomes.append(outcome),
+                             heartbeat_s=0)
+        broker.start()
+        assert broker.dispatch("key", spec(1))
+        for _ in range(500):  # the lease is running within 5 s
+            if started.is_set():
+                break
+            await asyncio.sleep(0.01)
+        broker.close()
+
+    t0 = time.monotonic()
+    try:
+        asyncio.run(main())
+        elapsed = time.monotonic() - t0
+    finally:
+        release.set()
+    assert started.is_set()
+    assert elapsed < 1.0, f"loop shutdown waited {elapsed:.2f}s"
+    lease = [t for t in threading.enumerate()
+             if t.name == "repro-inline-lease"]
+    for thread in lease:
+        thread.join(5)
+        assert not thread.is_alive()
+    assert outcomes == []  # the abandoned lease posted to a closed loop
+
+
 def test_idle_sweep_enforces_quota(tmp_path):
     specs = [spec(s) for s in range(11, 14)]
 

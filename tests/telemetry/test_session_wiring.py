@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro import telemetry
 from repro.campaign import RunSpec, cache_path
 from repro.campaign.cache import store
 from repro.core.framework import run_spec
@@ -99,23 +98,3 @@ class TestDecisionAccounting:
         assert table["act_count"] > 0
         assert table["trace_events"] > 0
         assert table["trace_dropped"] == 0
-
-
-class TestEnabledFlag:
-    def test_session_if_enabled_respects_the_switch(self):
-        previous = telemetry.set_enabled(False)
-        try:
-            assert telemetry.session_if_enabled() is None
-            telemetry.set_enabled(True)
-            session = telemetry.session_if_enabled(label="x")
-            assert isinstance(session, TelemetrySession)
-            assert session.label == "x"
-        finally:
-            telemetry.set_enabled(previous)
-
-    def test_set_enabled_returns_previous_value(self):
-        previous = telemetry.set_enabled(True)
-        try:
-            assert telemetry.set_enabled(False) is True
-        finally:
-            telemetry.set_enabled(previous)

@@ -1,5 +1,6 @@
-"""The registry boundary holds: nothing outside repro.coding may bring
-back the retired BURST_FORMATS/_SCHEMES views (see
+"""The package boundaries hold: nothing outside repro.coding may bring
+back the retired BURST_FORMATS/_SCHEMES views, and src/repro names no
+environment variable beyond the allowed five (see
 tools/lint_boundaries.py, which CI runs as a standalone step)."""
 
 import importlib.util
@@ -128,3 +129,40 @@ class TestEventCoreBoundaries:
             "wake = mc.next_event(now)\n"
         )
         assert lint.check_source(good, "fake.py") == []
+
+
+class TestEnvironmentSwitches:
+    """src/repro names only the allowed REPRO_* environment variables."""
+
+    def test_catches_unlisted_variables(self):
+        lint = _load_linter()
+        for bad, name in (
+            ('AUDIT_ENV = "REPRO_AUDIT"\n', "REPRO_AUDIT"),
+            ('on = bool(os.environ.get("REPRO_TELEMETRY"))\n',
+             "REPRO_TELEMETRY"),
+        ):
+            problems = lint.check_env_names(bad, "fake.py")
+            assert len(problems) == 1, bad
+            assert name in problems[0]
+            assert "explicit argument" in problems[0]
+
+    def test_allowed_variables_and_prose_pass(self):
+        lint = _load_linter()
+        good = (
+            '"""Set REPRO_CACHE_DIR; REPRO_AUDIT is gone."""\n'
+            + "".join(
+                f"os.environ.get({name!r})\n"
+                for name in sorted(lint.ALLOWED_ENV)
+            )
+        )
+        assert lint.check_env_names(good, "fake.py") == []
+
+    def test_tree_check_covers_the_coding_package(self, tmp_path):
+        lint = _load_linter()
+        (tmp_path / "coding").mkdir()
+        (tmp_path / "coding" / "kernel.py").write_text(
+            'IMPL_ENV = "REPRO_CODEC_IMPL"\n'
+        )
+        problems = lint.check_tree(tmp_path)
+        assert len(problems) == 1
+        assert "REPRO_CODEC_IMPL" in problems[0]

@@ -38,6 +38,12 @@ DESIGN.md, "Event core"):
   ``repro.controller`` — outside it, only the public ``step`` /
   ``next_event`` / ``sync`` surface exists.
 
+And one for the whole package, ``repro.coding`` included: a string
+constant that is exactly ``REPRO_[A-Z0-9_]+`` must name one of the
+environment variables in :data:`ALLOWED_ENV`.  Any other is a
+process-wide switch; a run's observers (``--audit``, ``--telemetry``)
+travel as explicit arguments instead.
+
 Run from the repository root (CI does)::
 
     python tools/lint_boundaries.py
@@ -46,6 +52,7 @@ Run from the repository root (CI does)::
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +85,15 @@ CONTROLLER_INTERNALS = frozenset({
 # The event heap's owning package; repro.system.events may not be
 # imported from anywhere else.
 EVENTS_OWNER = "system"
+# The only environment variables src/repro may name.
+ALLOWED_ENV = frozenset({
+    "REPRO_CACHE_DIR",
+    "REPRO_JOBS",
+    "REPRO_NO_CACHE",
+    "REPRO_SERVE_ADDRESS",
+    "REPRO_SERVE_TOKEN",
+})
+ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
 
 def _is_system_events_module(module: str) -> bool:
@@ -180,18 +196,30 @@ def check_source(source: str, filename: str, package: str = "") -> list[str]:
     return problems
 
 
+def check_env_names(source: str, filename: str) -> list[str]:
+    """Flag string constants naming a ``REPRO_*`` variable not allowed."""
+    return [
+        f"{filename}:{node.lineno}: names environment variable "
+        f"{node.value}; pass it as an explicit argument instead "
+        f"(allowed: {', '.join(sorted(ALLOWED_ENV))})"
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ENV_NAME.fullmatch(node.value)
+        and node.value not in ALLOWED_ENV
+    ]
+
+
 def check_tree(root: Path = SRC_ROOT) -> list[str]:
     problems = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
+        source = path.read_text(encoding="utf-8")
+        problems.extend(check_env_names(source, str(path)))
         if rel.parts and rel.parts[0] == EXEMPT:
             continue
         package = rel.parts[0] if len(rel.parts) > 1 else ""
-        problems.extend(
-            check_source(
-                path.read_text(encoding="utf-8"), str(path), package
-            )
-        )
+        problems.extend(check_source(source, str(path), package))
     return problems
 
 
@@ -201,8 +229,7 @@ def main() -> int:
         print(problem, file=sys.stderr)
     if problems:
         print(
-            f"boundary lint: {len(problems)} violation(s); scheme "
-            "knowledge belongs behind repro.coding.registry",
+            f"boundary lint: {len(problems)} violation(s)",
             file=sys.stderr,
         )
         return 1
