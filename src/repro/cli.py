@@ -1155,7 +1155,12 @@ def main(argv: list[str] | None = None) -> int:
         "submit": cmd_submit,
         "jobs": cmd_jobs,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except KeyboardInterrupt:
+        # cmd_serve and cmd_worker stop cleanly on their own.
+        print(f"\nrepro {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -36,29 +36,40 @@ as the same campaign run via ``repro campaign`` locally, by
 construction: both run on the same engine (see ``docs/SERVICE.md``).
 """
 
-from .client import BackPressureError, ServeClient, ServeError
-from .engine import Engine
-from .jobs import Job, JobManager, JobState, QueueFullError
-from .journal import Journal
-from .service import CampaignService, ServiceConfig
-from .shards import LeaseBroker
-from .store import ResultStore
-from .worker import WorkerAuthError, WorkerDaemon
+# Exports load on first use, so a process that only imports the client
+# (``repro.serve.client``) does not load the service, asyncio or numpy.
+_LAZY = {
+    "BackPressureError": "client",
+    "ServeClient": "client",
+    "ServeError": "client",
+    "Engine": "engine",
+    "Job": "jobs",
+    "JobManager": "jobs",
+    "JobState": "jobs",
+    "QueueFullError": "jobs",
+    "Journal": "journal",
+    "CampaignService": "service",
+    "ServiceConfig": "service",
+    "LeaseBroker": "shards",
+    "ResultStore": "store",
+    "WorkerAuthError": "worker",
+    "WorkerDaemon": "worker",
+}
 
-__all__ = [
-    "BackPressureError",
-    "CampaignService",
-    "Engine",
-    "Job",
-    "JobManager",
-    "JobState",
-    "Journal",
-    "LeaseBroker",
-    "QueueFullError",
-    "ResultStore",
-    "ServeClient",
-    "ServeError",
-    "ServiceConfig",
-    "WorkerAuthError",
-    "WorkerDaemon",
-]
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.serve' has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(list(globals()) + list(_LAZY))

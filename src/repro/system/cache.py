@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = ["Cache", "AccessResult"]
 
 
@@ -24,8 +26,35 @@ class AccessResult(NamedTuple):
     line: int  # line address of the access
 
 
+class _Sets(dict):
+    """Set index -> that set's dict, made on the set's first lookup.
+
+    A set's dict maps line address -> dirty flag, oldest entry first
+    (the LRU victim).  Sets start empty, or as :meth:`Cache.warm` left
+    them: set ``i`` then holds ``lines[starts[i]:ends[i]]`` with their
+    ``dirty`` flags.
+    """
+
+    def __init__(self, warm=None):
+        super().__init__()
+        self._warm = warm  # (lines, dirty, starts, ends) or None
+
+    def __missing__(self, index: int) -> dict[int, bool]:
+        ways = {}
+        if self._warm is not None:
+            lines, dirty, starts, ends = self._warm
+            lo, hi = starts[index], ends[index]
+            ways = dict(zip(lines[lo:hi].tolist(), dirty[lo:hi].tolist()))
+        self[index] = ways
+        return ways
+
+
 class Cache:
-    """An LRU, write-allocate, writeback set-associative cache."""
+    """An LRU, write-allocate, writeback set-associative cache.
+
+    The trace filter in :mod:`repro.system.hierarchy` inlines
+    :meth:`access` on ``_sets`` (a :class:`_Sets`) and ``_set_mask``.
+    """
 
     def __init__(
         self, size_bytes: int, ways: int, line_bytes: int = 64, name: str = ""
@@ -39,9 +68,7 @@ class Cache:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("set count must be a power of two")
         self._set_mask = self.num_sets - 1
-        # Per set: insertion-ordered dict of line address -> dirty flag.
-        # Oldest entry is the LRU victim.
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+        self._sets = _Sets()
 
         self.hits = 0
         self.misses = 0
@@ -102,27 +129,27 @@ class Cache:
         ways[line] = dirty
         return writeback
 
-    def fill_lines(self, addresses, dirty) -> None:
-        """Install ``addresses`` in order, as one :meth:`fill` each would.
+    def warm(self, lines: np.ndarray, dirty: np.ndarray) -> None:
+        """Take the state one :meth:`fill` per line would leave.
 
-        ``dirty`` is a parallel iterable of flags.  Victims are dropped
-        (still counted in :attr:`writebacks`): this is the bulk path for
-        pre-filling a cache to steady state.
+        ``lines`` are distinct line addresses, filled in order into this
+        empty cache; ``dirty`` holds their flags.  The fills only ever
+        evict earlier lines, so each set ends up holding the last
+        ``ways`` lines that map to it, oldest first: that closed form is
+        all this computes.  Each set's dict is built the first time a
+        lookup reaches it, and victims of the skipped fills are not
+        counted in :attr:`writebacks`.
         """
-        line_bytes = self.line_bytes
-        sets = self._sets
-        set_mask = self._set_mask
-        capacity = self.ways
-        for address, flag in zip(addresses, dirty):
-            line = address - address % line_bytes
-            ways = sets[(line // line_bytes) & set_mask]
-            if line in ways:
-                ways[line] = ways.pop(line) or flag
-                continue
-            if len(ways) >= capacity:
-                if ways.pop(next(iter(ways))):
-                    self.writebacks += 1
-            ways[line] = flag
+        sets = (lines // self.line_bytes) & self._set_mask
+        # Set indices of 16 bits or fewer make the stable sort a radix sort.
+        sets = sets.astype(np.min_scalar_type(self._set_mask))
+        order = np.argsort(sets, kind="stable")
+        counts = np.bincount(sets, minlength=self.num_sets)
+        ends = np.cumsum(counts)
+        starts = np.maximum(ends - counts, ends - self.ways)
+        self._sets = _Sets(
+            (lines[order], dirty[order], starts.tolist(), ends.tolist())
+        )
 
     def invalidate(self, address: int) -> bool:
         """Drop a line; returns True if it was present and dirty."""

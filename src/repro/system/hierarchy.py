@@ -76,6 +76,7 @@ class CoreAccessStream:
 # Warm-up lines live at addresses the trace never touches (high bit set)
 # so they are pure eviction fodder, never artificial hits.
 _WARMUP_BIT = 1 << 45
+_DRAW_BLOCK = 256  # ``dependent`` draws taken from the generator at once
 
 
 def _warm_l2(l2, streams, config, rng) -> None:
@@ -87,9 +88,12 @@ def _warm_l2(l2, streams, config, rng) -> None:
     where every fill evicts and dirty victims stream back to memory.
     Victim dirtiness follows each stream's own write density (the
     probability that a 64-byte line received at least one write).
+    Each stream fills ``per_stream`` consecutive lines after the
+    previous stream's, which :meth:`Cache.warm` installs in closed form.
     """
     capacity = config.l2_bytes // config.line_bytes
     per_stream = capacity // max(1, len(streams)) + 1
+    warm_lines, warm_dirty = [], []
     for idx, stream in enumerate(streams):
         if len(stream):
             lines = stream.addresses // config.line_bytes
@@ -101,9 +105,16 @@ def _warm_l2(l2, streams, config, rng) -> None:
         base = _WARMUP_BIT | (idx << 36)
         dirty = rng.random(per_stream) < line_dirty_prob
         step = config.line_bytes
-        l2.fill_lines(
-            range(base, base + per_stream * step, step), dirty.tolist()
-        )
+        warm_dirty.append(dirty)
+        warm_lines.append(base + step * np.arange(per_stream, dtype=np.int64))
+    if warm_lines:
+        l2.warm(np.concatenate(warm_lines), np.concatenate(warm_dirty))
+
+
+def _draws(rng):
+    """``rng.random()`` values in order, drawn in blocks (same doubles)."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
 
 
 def filter_through_hierarchy(
@@ -112,14 +123,15 @@ def filter_through_hierarchy(
     data_model,
     seed: int = 0,
     name: str = "trace",
-    warm_caches: bool = True,
 ) -> MemoryTrace:
     """Run access streams through L1s + shared L2 and build the trace.
 
     ``data_model`` must provide ``lines_for(addresses) -> (n, 64) uint8``
-    mapping line addresses to deterministic payload bytes.  With
-    ``warm_caches`` (default) the shared L2 starts at steady-state
-    occupancy; see :func:`_warm_l2`.
+    mapping line addresses to deterministic payload bytes.  The shared
+    L2 starts at steady-state occupancy; see :func:`_warm_l2`.
+
+    The per-access loop inlines the L1 and L2 lookups of
+    :meth:`Cache.access` on the caches' set tables.
     """
     if len(streams) > config.cores:
         raise ValueError(f"{len(streams)} streams > {config.cores} cores")
@@ -132,26 +144,27 @@ def filter_through_hierarchy(
     l2 = Cache(config.l2_bytes, config.l2_ways, config.line_bytes, "L2")
     directory = MESIDirectory(config.cores)
     prefetcher = StreamPrefetcher(config.prefetcher, config.line_bytes)
-    if warm_caches:
-        _warm_l2(l2, streams, config, rng)
-        l2.hits = l2.misses = l2.writebacks = 0
+    _warm_l2(l2, streams, config, rng)
+    draws = _draws(rng)
 
     records: list[list[TraceRecord]] = [[] for _ in streams]
     # CPU cycles of work accumulated since each core's last trace record.
     pending_cpu_cycles = [0.0 for _ in streams]
     banked_gap = [0 for _ in streams]  # gap cycles deferred by burstiness
     emitted = [0 for _ in streams]
-    positions = [0 for _ in streams]
-    cpu_accesses = 0
+    cpu_per_dram = config.cpu_per_dram_clock
+    spacing = config.prefetcher.spacing
 
     def emit(core: int, address: int, is_write: bool, prefetch: bool) -> None:
-        gap = config.cpu_to_dram_cycles(pending_cpu_cycles[core])
+        # SystemConfig.cpu_to_dram_cycles, inlined.
+        gap = max(0, int(-(-pending_cpu_cycles[core] // cpu_per_dram)))
         pending_cpu_cycles[core] = 0.0
         if prefetch:
             # Prefetches trickle out of the prefetcher at its issue
             # pacing instead of landing in one batch.
-            gap = max(gap, config.prefetcher.spacing)
-        burst = streams[core].burst_lines
+            gap = max(gap, spacing)
+        stream = streams[core]
+        burst = stream.burst_lines
         if burst > 1 and not prefetch:
             banked_gap[core] += gap
             emitted[core] += 1
@@ -163,73 +176,58 @@ def filter_through_hierarchy(
         dependent = (
             not is_write
             and not prefetch
-            and rng.random() < streams[core].dependent_fraction
+            and next(draws) < stream.dependent_fraction
         )
+        # line_id is assigned after all records exist.
         records[core].append(
-            TraceRecord(
-                core=core,
-                gap=gap,
-                address=address,
-                is_write=is_write,
-                line_id=-1,  # assigned after all records exist
-                is_prefetch=prefetch,
-                dependent=dependent,
-            )
+            TraceRecord(core, gap, address, is_write, -1, prefetch, dependent)
         )
 
-    def l2_access(core: int, line: int) -> None:
-        """Demand L2 access for a line missing in the core's L1.
-
-        The L1 is write-allocate/writeback, so even a write miss fetches
-        the line; the L2 copy stays clean until an L1 writeback arrives.
-        """
-        result = l2.access(line, False)
-        if result.writeback is not None:
-            emit(core, result.writeback, True, prefetch=False)
-        if not result.hit:
-            pending_cpu_cycles[core] += config.l2_hit_cpu_cycles
-            emit(core, line, False, prefetch=False)
-            for pf_line in prefetcher.observe(line):
-                if not l2.contains(pf_line):
-                    victim = l2.fill(pf_line)
-                    if victim is not None:
-                        emit(core, victim, True, prefetch=False)
-                    emit(core, pf_line, False, prefetch=True)
-        else:
-            pending_cpu_cycles[core] += config.l2_hit_cpu_cycles
+    line_bytes = config.line_bytes
+    l1_ways = config.l1_ways
+    l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
+    l2_hit_cycles = config.l2_hit_cpu_cycles
+    l1_misses = l2_hits = l2_misses = 0
+    stream_addresses = [s.addresses.tolist() for s in streams]
+    stream_writes = [s.is_write.tolist() for s in streams]
+    # CPU cycles of work per access.
+    think = [
+        (1.0 + s.insts_per_access) * config.intensity_scale / config.issue_ipc
+        for s in streams
+    ]
 
     live = [i for i in range(len(streams)) if len(streams[i])]
+    start = 0
     while live:
-        still_live = []
+        stop = start + _INTERLEAVE_CHUNK
         for core in live:
-            stream = streams[core]
-            start = positions[core]
-            stop = min(start + _INTERLEAVE_CHUNK, len(stream))
-            l1 = l1s[core]
-            for idx in range(start, stop):
-                address = int(stream.addresses[idx])
-                is_write = bool(stream.is_write[idx])
-                cpu_accesses += 1
-                pending_cpu_cycles[core] += (
-                    (1.0 + stream.insts_per_access)
-                    * config.intensity_scale
-                    / config.issue_ipc
-                )
-
-                result = l1.access(address, is_write)
-                line = result.line
-                if result.writeback is not None:
-                    # Dirty L1 victim lands in the L2 (writeback cache).
-                    directory.evict(core, result.writeback)
-                    victim = l2.fill(result.writeback, dirty=True)
-                    if victim is not None:
-                        emit(core, victim, True, prefetch=False)
-                if result.hit:
+            l1_sets = l1s[core]._sets
+            l1_mask = l1s[core]._set_mask
+            work = think[core]
+            for address, is_write in zip(
+                stream_addresses[core][start:stop],
+                stream_writes[core][start:stop],
+            ):
+                pending_cpu_cycles[core] += work
+                line = address - address % line_bytes
+                ways = l1_sets[(line // line_bytes) & l1_mask]
+                if line in ways:
+                    ways[line] = ways.pop(line) or is_write  # MRU
                     if is_write:
-                        outcome = directory.write(core, line)
-                        for other in outcome.invalidated:
+                        for other in directory.write(core, line).invalidated:
                             l1s[other].invalidate(line)
                     continue
+
+                l1_misses += 1
+                if len(ways) >= l1_ways:
+                    victim = next(iter(ways))
+                    if ways.pop(victim):
+                        # Dirty L1 victim lands in the L2 (writeback cache).
+                        directory.evict(core, victim)
+                        l2_victim = l2.fill(victim, dirty=True)
+                        if l2_victim is not None:
+                            emit(core, l2_victim, True, prefetch=False)
+                ways[line] = is_write
 
                 # L1 miss: coherence first, then the shared L2.
                 outcome = (
@@ -244,11 +242,33 @@ def filter_through_hierarchy(
                     if victim is not None:
                         emit(core, victim, True, prefetch=False)
                     continue  # cache-to-cache transfer, no DRAM access
-                l2_access(core, line)
-            positions[core] = stop
-            if stop < len(stream):
-                still_live.append(core)
-        live = still_live
+
+                # Demand L2 access.  The L1 is write-allocate/writeback,
+                # so even a write miss fetches the line; the L2 copy
+                # stays clean until an L1 writeback arrives.
+                ways = l2_sets[(line // line_bytes) & l2_mask]
+                if line in ways:
+                    l2_hits += 1
+                    ways[line] = ways.pop(line)  # MRU
+                    pending_cpu_cycles[core] += l2_hit_cycles
+                    continue
+                l2_misses += 1
+                if len(ways) >= l2_ways:
+                    victim = next(iter(ways))
+                    if ways.pop(victim):
+                        l2.writebacks += 1
+                        emit(core, victim, True, prefetch=False)
+                ways[line] = False
+                pending_cpu_cycles[core] += l2_hit_cycles
+                emit(core, line, False, prefetch=False)
+                for pf_line in prefetcher.observe(line):
+                    if not l2.contains(pf_line):
+                        victim = l2.fill(pf_line)
+                        if victim is not None:
+                            emit(core, victim, True, prefetch=False)
+                        emit(core, pf_line, False, prefetch=True)
+        start = stop
+        live = [core for core in live if len(stream_addresses[core]) > stop]
 
     # Assign line ids and build the payload table.
     addresses = []
@@ -264,15 +284,15 @@ def filter_through_hierarchy(
         else np.zeros((0, 64), dtype=np.uint8)
     )
 
-    l1_accesses = sum(c.hits + c.misses for c in l1s)
-    l1_misses = sum(c.misses for c in l1s)
+    cpu_accesses = sum(len(s) for s in streams)
+    l2_accesses = l2_hits + l2_misses
     return MemoryTrace(
         name=name,
         records_by_core=records,
         line_data=line_data,
         cpu_accesses=cpu_accesses,
-        l1_miss_rate=l1_misses / l1_accesses if l1_accesses else 0.0,
-        l2_miss_rate=l2.miss_rate,
+        l1_miss_rate=l1_misses / cpu_accesses if cpu_accesses else 0.0,
+        l2_miss_rate=l2_misses / l2_accesses if l2_accesses else 0.0,
         stats={
             "l2_writebacks": l2.writebacks,
             "prefetches": prefetcher.issued,

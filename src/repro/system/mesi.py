@@ -31,6 +31,13 @@ class CoherenceOutcome:
         self.dirty_writeback = False  # an M copy supplied the data
 
 
+# Returned, shared and never mutated, by a transaction that touches no
+# other core's copy: the common case, and one object fewer per access.
+_QUIET = CoherenceOutcome()
+# Enum member lookups are slow on the per-access path.
+_MODIFIED, _EXCLUSIVE = MESIState.MODIFIED, MESIState.EXCLUSIVE
+
+
 class MESIDirectory:
     """Full-map directory: line address -> {core: state}."""
 
@@ -51,19 +58,17 @@ class MESIDirectory:
         """Cores holding a valid copy."""
         return sorted(self._lines.get(line, {}))
 
-    def _entry(self, line: int) -> dict[int, MESIState]:
-        return self._lines.setdefault(line, {})
-
     def read(self, core: int, line: int) -> CoherenceOutcome:
         """Core issues a read (BusRd).  M holders downgrade and flush."""
-        outcome = CoherenceOutcome()
-        entry = self._entry(line)
-        mine = entry.get(core, MESIState.INVALID)
-        if mine is not MESIState.INVALID:
-            return outcome  # hit: no directory action
+        entry = self._lines.get(line)
+        if not entry:
+            self._lines[line] = {core: _EXCLUSIVE}
+            return _QUIET
+        if core in entry:
+            return _QUIET  # hit: no directory action
 
-        others = [c for c in entry if c != core]
-        for other in others:
+        outcome = CoherenceOutcome()
+        for other in entry:
             if entry[other] in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
                 if entry[other] is MESIState.MODIFIED:
                     outcome.dirty_writeback = True
@@ -71,13 +76,20 @@ class MESIDirectory:
                 entry[other] = MESIState.SHARED
                 outcome.downgraded.append(other)
                 self.downgrades += 1
-        entry[core] = MESIState.SHARED if others else MESIState.EXCLUSIVE
+        entry[core] = MESIState.SHARED
         return outcome
 
     def write(self, core: int, line: int) -> CoherenceOutcome:
         """Core issues a write (BusRdX/upgrade).  All other copies die."""
+        entry = self._lines.get(line)
+        if not entry:
+            self._lines[line] = {core: _MODIFIED}
+            return _QUIET
+        if core in entry and len(entry) == 1:
+            entry[core] = _MODIFIED
+            return _QUIET
+
         outcome = CoherenceOutcome()
-        entry = self._entry(line)
         for other in [c for c in entry if c != core]:
             if entry[other] is MESIState.MODIFIED:
                 outcome.dirty_writeback = True

@@ -12,6 +12,7 @@ the Snapdragon-like mobile system.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 __all__ = ["StreamPrefetcher", "PrefetcherConfig"]
@@ -37,7 +38,7 @@ class PrefetcherConfig:
     spacing: int = 12
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stream:
     last_line: int
     direction: int  # +1 or -1
@@ -51,19 +52,19 @@ class StreamPrefetcher:
     An access joins the first stream, in table order, whose last line
     lies within ``_MATCH_WINDOW`` lines of it.  Streams are indexed by
     the ``_MATCH_WINDOW``-line window their last line falls in, so the
-    match looks at three windows instead of the whole table; LRU
-    replacement reads a last-used list parallel to the table (ticks are
-    unique, so the least recently used stream is unambiguous).
+    match looks at three windows instead of the whole table.  Each
+    access touches at most one stream, so keeping the table indices in
+    recency order makes the least recently used stream the first one.
     """
 
     def __init__(self, config: PrefetcherConfig, line_bytes: int = 64):
         self.config = config
         self.line_bytes = line_bytes
         self._streams: list[_Stream] = []
-        self._last_used: list[int] = []
+        # Table indices, least recently used first.
+        self._recency: OrderedDict[int, None] = OrderedDict()
         # window (last_line // _MATCH_WINDOW) -> table indices.
         self._windows: dict[int, list[int]] = {}
-        self._tick = 0
         self.issued = 0
 
     def _match(self, line: int) -> int:
@@ -95,14 +96,13 @@ class StreamPrefetcher:
 
     def observe(self, address: int) -> list[int]:
         """Feed one demand access; returns line addresses to prefetch."""
-        self._tick += 1
         line = address // self.line_bytes
         i = self._match(line)
         if i < 0:
             self._allocate(line)
             return []
         stream = self._streams[i]
-        self._last_used[i] = self._tick
+        self._recency.move_to_end(i)
         delta = line - stream.last_line
         if delta == 0:
             return []
@@ -149,21 +149,19 @@ class StreamPrefetcher:
             frontier=line + 1,
         )
         streams = self._streams
-        last_used = self._last_used
         windows = self._windows
         if len(streams) >= self.config.nstreams:
-            victim = last_used.index(min(last_used))
+            victim, _ = self._recency.popitem(last=False)
             window = streams[victim].last_line // _MATCH_WINDOW
             bucket = windows[window]
             bucket.remove(victim)
             if not bucket:
                 del windows[window]
             streams[victim] = stream
-            last_used[victim] = self._tick
         else:
             victim = len(streams)
             streams.append(stream)
-            last_used.append(self._tick)
+        self._recency[victim] = None
         windows.setdefault(line // _MATCH_WINDOW, []).append(victim)
 
     @property

@@ -134,3 +134,21 @@ class TestTelemetry:
         assert main(["run", "MM", "--scale", "400"]) == 0
         out = capsys.readouterr().out
         assert "telemetry" not in out
+
+
+class TestInterrupt:
+    def test_ctrl_c_prints_one_line_and_exits_130(self, monkeypatch, capsys):
+        from repro.campaign import CampaignRunner
+
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CampaignRunner, "run", interrupted)
+        try:
+            code = main(["campaign", "fig02", "--scale", "64", "--no-report"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped repro.cli.main")
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == "repro campaign: interrupted"

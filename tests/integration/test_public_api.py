@@ -1,6 +1,13 @@
 """Tests for the top-level public API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
 
 class TestLazyExports:
@@ -49,8 +56,28 @@ class TestSubpackageImports:
         for module_name in (
             "repro.coding", "repro.dram", "repro.controller",
             "repro.core", "repro.system", "repro.energy",
-            "repro.workloads", "repro.analysis",
+            "repro.workloads", "repro.analysis", "repro.serve",
         ):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name}"
+
+
+class TestServeExports:
+    def test_client_import_does_not_load_the_service(self):
+        # A process that only talks to a service (repro submit, perfbench's
+        # client) must not pay for the service, asyncio or numpy.
+        code = (
+            "import sys\n"
+            "import repro.serve.client\n"
+            "loaded = {'numpy', 'asyncio', 'multiprocessing'}"
+            " & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "from repro.serve import CampaignService\n"
+            "assert CampaignService.__module__ == 'repro.serve.service'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr

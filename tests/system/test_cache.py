@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.system import Cache
+from tests.warmup_oracle import eager_warm
 
 
 class TestBasics:
@@ -104,7 +105,7 @@ class TestProperties:
         cache = Cache(4096, 4)
         for addr in addresses:
             cache.access(addr, False)
-        for ways in cache._sets:
+        for ways in cache._sets.values():
             assert len(ways) <= cache.ways
 
     @settings(max_examples=30)
@@ -125,3 +126,58 @@ class TestProperties:
         for addr in lines:
             assert cache.access(int(addr), False).hit
         assert cache.hits == hits_before + len(lines)
+
+
+class TestWarm:
+    """``Cache.warm`` leaves exactly what one ``fill`` per line leaves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        set_bits=st.integers(min_value=0, max_value=6),
+        ways=st.sampled_from([1, 2, 4, 8]),
+        line_bytes=st.sampled_from([16, 64]),
+        data=st.data(),
+    )
+    def test_lazy_warm_matches_eager_fills(
+        self, set_bits, ways, line_bytes, data
+    ):
+        num_sets = 1 << set_bits
+        # Up to three times the capacity, so many sets receive more than
+        # ``ways`` lines and the warm-up must drop the oldest.
+        span = st.integers(min_value=0, max_value=3 * num_sets * ways)
+        ids = data.draw(st.lists(span, unique=True, max_size=200))
+        flags = data.draw(
+            st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))
+        )
+        lines = np.asarray(ids, dtype=np.int64) * line_bytes
+        dirty = np.asarray(flags, dtype=bool)
+        size = num_sets * ways * line_bytes
+        lazy = Cache(size, ways, line_bytes)
+        lazy.warm(lines, dirty)
+        eager = Cache(size, ways, line_bytes)
+        eager_warm(eager, lines, dirty)
+
+        ops = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(["access", "fill", "contains"]),
+                span, st.booleans(),
+            ),
+            max_size=100,
+        ))
+        for op, line_id, flag in ops:
+            address = line_id * line_bytes
+            if op == "access":
+                assert lazy.access(address, flag) == eager.access(
+                    address, flag
+                )
+            elif op == "fill":
+                assert lazy.fill(address, flag) == eager.fill(address, flag)
+            else:
+                assert lazy.contains(address) == eager.contains(address)
+        assert (lazy.hits, lazy.misses, lazy.writebacks) == (
+            eager.hits, eager.misses, eager.writebacks
+        )
+        for index in range(num_sets):
+            assert list(lazy._sets[index].items()) == list(
+                eager._sets[index].items()
+            )

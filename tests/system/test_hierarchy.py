@@ -1,5 +1,7 @@
 """Tests for the cache-hierarchy trace filter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ class TestFiltering:
         g_heavy = np.mean([r.gap for r in t_heavy.records_by_core[0]])
         g_light = np.mean([r.gap for r in t_light.records_by_core[0]])
         assert g_heavy > 1.8 * g_light
+
+    def test_l2_hit_refreshes_lru(self):
+        # One-line L1, one 2-way L2 set: the L2 hit on line 0 makes the
+        # next miss evict line 1, so the final access to 0 hits again.
+        tiny = dataclasses.replace(
+            NIAGARA_SERVER, l1_bytes=64, l1_ways=1, l2_bytes=128, l2_ways=2
+        )
+        s = stream([0, 1 << 20, 0, 2 << 20, 0])
+        trace = filter_through_hierarchy([s], tiny, model())
+        assert [r.address for r in trace.records_by_core[0]] == [
+            0, 1 << 20, 2 << 20
+        ]
 
     def test_line_ids_index_line_data(self):
         s = stream([i * 4096 for i in range(20)])
