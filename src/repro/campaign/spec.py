@@ -3,8 +3,8 @@
 A :class:`RunSpec` is the single currency of the campaign engine: the
 experiment modules plan lists of specs, the runner executes them, the
 cache keys files on them, and results are looked up by spec equality.
-Specs are hashable and picklable, so they cross worker-shard pipes and
-serve as dict keys on both sides.
+Specs are hashable and round-trip through ``canonical()`` JSON, so they
+cross lease frames to every worker and serve as dict keys on both sides.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class RunSpec:
         # Validated against the live policy registry, so specs naming a
         # program-registered policy (examples/custom_codec.py) pass.
         # Imported lazily: the core package imports the campaign layer's
-        # consumers, and unpickling in workers skips __post_init__
-        # anyway — validation happens where specs are *built*.
+        # consumers.  Workers rebuild leased specs from canonical JSON,
+        # so they validate too (a forked shard inherits the registry).
         from ..core.policies import known_policy, policy_names
 
         if not known_policy(self.policy):

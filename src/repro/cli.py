@@ -633,7 +633,7 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from .serve.server import ServeAPI
+    from .serve.server import serve_until
     from .serve.service import CampaignService, ServiceConfig
 
     from .serve.protocol import TOKEN_ENV
@@ -654,15 +654,20 @@ def cmd_serve(args) -> int:
 
     async def _amain() -> None:
         service = CampaignService(config)
-        api = ServeAPI(service)
-        await service.start()
-        try:
-            if args.socket:
-                await api.listen_unix(args.socket)
-                where = f"unix:{args.socket}"
-            else:
-                name = await api.listen_tcp(args.host, args.port)
-                where = f"{name[0]}:{name[1]}"
+        stop = asyncio.Event()
+
+        def shutdown() -> None:
+            print("repro serve: shutting down", file=sys.stderr)
+            stop.set()
+
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, shutdown)
+            except (NotImplementedError, RuntimeError):
+                pass
+
+        def ready(where: str) -> None:
             print(
                 f"repro serve: listening on {where} "
                 f"({service.shards} shard(s), store "
@@ -677,21 +682,9 @@ def cmd_serve(args) -> int:
                     f"{r['settled']} settled from cache",
                     file=sys.stderr, flush=True,
                 )
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, stop.set)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            await stop.wait()
-            print("repro serve: shutting down", file=sys.stderr)
-        finally:
-            # Service first: detaching remote workers ends their
-            # long-lived connections so api.close() cannot block on
-            # open handlers (3.12+ waits for them).
-            await service.stop()
-            await api.close()
+
+        await serve_until(service, stop, args.socket, args.host, args.port,
+                          ready)
 
     try:
         asyncio.run(_amain())
@@ -701,7 +694,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    import asyncio
     import signal
 
     from .serve.protocol import TOKEN_ENV
@@ -714,32 +706,22 @@ def cmd_worker(args) -> int:
         reconnect_delay_s=args.reconnect_delay,
         max_connects=1 if args.once else None,
     )
-
-    async def _amain() -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, daemon.request_stop)
-            except (NotImplementedError, RuntimeError):
-                pass
-        print(
-            f"repro worker: {daemon.name} dialing {args.connect}",
-            file=sys.stderr, flush=True,
-        )
-        await daemon.run()
-        print(
-            f"repro worker: {daemon.name} exiting "
-            f"({daemon.completed} lease(s) completed, "
-            f"{daemon.failed} failed)",
-            file=sys.stderr, flush=True,
-        )
-
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: daemon.request_stop())
+    print(
+        f"repro worker: {daemon.name} dialing {args.connect}",
+        file=sys.stderr, flush=True,
+    )
     try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:
-        pass
+        daemon.run()
     except WorkerAuthError as exc:
         sys.exit(str(exc))
+    print(
+        f"repro worker: {daemon.name} exiting "
+        f"({daemon.completed} lease(s) completed, "
+        f"{daemon.failed} failed)",
+        file=sys.stderr, flush=True,
+    )
     return 0
 
 

@@ -13,11 +13,11 @@ asyncio service:
 * :mod:`~repro.serve.events` — seq-numbered per-job event logs with
   snapshot-plus-tail subscription (a client that connects mid-campaign
   sees a consistent prefix and then the live tail);
-* :mod:`~repro.serve.shards` — the lease broker: local worker shards
-  (``--shards``) plus remote TCP workers, with lease tracking,
-  heartbeats, death detection, and respawn;
-* :mod:`~repro.serve.worker` — the ``repro worker`` daemon that dials
-  a service and contributes one remote execution slot;
+* :mod:`~repro.serve.shards` — the lease broker: one fleet of members,
+  forked shards (``--shards``) and remote TCP workers alike, with lease
+  tracking, heartbeats, death detection, and shard respawn;
+* :mod:`~repro.serve.worker` — the frame loop every member runs, and
+  the ``repro worker`` daemon that dials a service to run it remotely;
 * :mod:`~repro.serve.journal` — the append-only JSONL job table that
   lets a restarted service resume queued and leased work;
 * :mod:`~repro.serve.store` — the multi-tenant result store layered on

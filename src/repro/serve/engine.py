@@ -42,9 +42,9 @@ class Engine:
 
     ``shards`` is the local fleet width (0 = one inline slot).  ``probe``
     is an optional :class:`~repro.telemetry.probes.ServiceProbe`.
-    ``audit`` goes to the broker, which audits every run its shards and
-    inline slot execute (a campaign's ``--audit``; the service never
-    sets it).
+    ``audit`` goes to the broker, which sets it on every lease frame and
+    honours it in the inline slot (a campaign's ``--audit``; the service
+    never sets it).
     """
 
     def __init__(self, manager, shards: int, on_settled, retries: int,

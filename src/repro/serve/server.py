@@ -44,7 +44,7 @@ from .protocol import API_PREFIX, NDJSON, STATUS_TEXT, dumps
 from .protocol import parse_query
 from .service import CampaignService
 
-__all__ = ["ServeAPI", "ServerHandle", "start_in_thread"]
+__all__ = ["ServeAPI", "ServerHandle", "serve_until", "start_in_thread"]
 
 MAX_BODY = 32 * 1024 * 1024  # a scenario doc or spec matrix, with slack
 
@@ -288,6 +288,41 @@ def _version() -> str:
     return __version__
 
 
+async def serve_until(
+    service: CampaignService,
+    stop: asyncio.Event,
+    socket_path: str | None = None,
+    host: str | None = None,
+    port: int = 0,
+    on_ready=None,
+) -> None:
+    """Start, listen, wait for ``stop``, stop: ``repro serve`` and
+    :func:`start_in_thread` both run this.
+
+    The listener is ``unix:<socket_path>``, else TCP on ``host``
+    (default loopback) and ``port`` (0 = any); ``on_ready(address)`` is
+    called once it is up.
+    """
+    api = ServeAPI(service)
+    try:
+        await service.start()
+        if socket_path is not None:
+            await api.listen_unix(socket_path)
+            address = f"unix:{socket_path}"
+        else:
+            name = await api.listen_tcp(host or "127.0.0.1", port)
+            address = f"{name[0]}:{name[1]}"
+        if on_ready is not None:
+            on_ready(address)
+        await stop.wait()
+    finally:
+        # Service first: stopping the pool detaches remote workers and
+        # ends their long-lived handler connections, which api.close()
+        # (3.12+: waits on open handlers) would otherwise block on.
+        await service.stop()
+        await api.close()
+
+
 class ServerHandle:
     """A service + API running on a dedicated thread's event loop.
 
@@ -299,7 +334,6 @@ class ServerHandle:
 
     def __init__(self) -> None:
         self.service: CampaignService | None = None
-        self.api: ServeAPI | None = None
         self.address: str | None = None
         self.error: BaseException | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -338,54 +372,31 @@ def start_in_thread(
 ) -> ServerHandle:
     """Start a full service + listener on a background thread.
 
-    With ``socket_path`` the address is ``unix:<path>``; otherwise a TCP
-    listener binds ``host`` (default loopback) on ``port`` (0 = pick a
-    free one).  Raises whatever startup raised, so callers never poll.
+    The thread runs :func:`serve_until` under ``asyncio.run``; the
+    arguments are its listener's.  Raises whatever startup raised, so
+    callers never poll.
     """
     handle = ServerHandle()
 
     async def _amain():
-        service = CampaignService(config, telemetry=telemetry)
-        api = ServeAPI(service)
+        handle._loop = asyncio.get_running_loop()
         handle._stop = asyncio.Event()
-        try:
-            await service.start()
-            if socket_path is not None:
-                await api.listen_unix(socket_path)
-                handle.address = f"unix:{socket_path}"
-            else:
-                name = await api.listen_tcp(host or "127.0.0.1", port)
-                handle.address = f"{name[0]}:{name[1]}"
-            handle.service = service
-            handle.api = api
-        except BaseException as exc:  # noqa: BLE001
-            handle.error = exc
-            await service.stop()
+        service = CampaignService(config, telemetry=telemetry)
+
+        def ready(address: str) -> None:
+            handle.service, handle.address = service, address
             handle._ready.set()
-            return
-        handle._ready.set()
-        await handle._stop.wait()
-        # Service first: stopping the pool detaches remote workers and
-        # ends their long-lived handler connections, which api.close()
-        # (3.12+: waits on open handlers) would otherwise block on.
-        await service.stop()
-        await api.close()
-        # Reap any connection handlers still draining (e.g. a worker
-        # attachment racing the shutdown) so loop.close() below never
-        # destroys a pending task.
-        pending = [t for t in asyncio.all_tasks()
-                   if t is not asyncio.current_task()]
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
+
+        await serve_until(service, handle._stop, socket_path, host, port,
+                          ready)
 
     def _thread_main():
-        loop = asyncio.new_event_loop()
-        handle._loop = loop
         try:
-            loop.run_until_complete(_amain())
+            asyncio.run(_amain())
+        except BaseException as exc:  # noqa: BLE001 — raised by the caller
+            handle.error = exc
         finally:
-            loop.close()
+            handle._ready.set()
 
     thread = threading.Thread(
         target=_thread_main, name="repro-serve", daemon=True

@@ -1,45 +1,39 @@
-"""The lease broker: local process shards plus remote TCP workers.
+"""The lease broker: one fleet of members that all speak frames.
 
-The broker owns the service's execution fleet.  Two member kinds share
-one lease discipline — **at most one lease per member**, so lease
-accounting is exact: whatever a dead member was holding is precisely
-``member.lease``.
+Every fleet member is a :class:`Member` holding **at most one lease**,
+so lease accounting is exact: whatever a dead member was holding is
+precisely ``member.lease``.  Members of both kinds share one path for
+leases, results (key-checked), heartbeats and death:
 
-* **Local shards** are long-lived ``multiprocessing.Process`` children
-  connected by duplex pipes.  Each receives one
-  :class:`~repro.campaign.spec.RunSpec` and answers
-  ``("ok", summary_body, wall_s)`` or ``("err", repr)``.  Death
-  detection needs no signals or polling: the parent registers each
-  pipe with the event loop (``loop.add_reader``), and a shard killed
-  mid-lease (SIGKILL included) closes its pipe end, which surfaces as
-  ``EOFError`` on the next read.  Dead shards are respawned.
+* **Local shards** are forked processes (``member.proc``) running
+  :func:`repro.serve.worker.serve_frames`, the loop a ``repro worker``
+  daemon runs, on one end of a ``socket.socketpair()``.  The broker
+  attaches the other end through :meth:`LeaseBroker.serve_worker`, as
+  it does a remote daemon after its HTTP handshake.  A shard killed
+  mid-lease (SIGKILL included) surfaces as EOF; it is reaped and a
+  replacement spawned.  Shards ignore SIGINT: Ctrl-C belongs to the
+  broker's process, whose ``close()`` kills them.
+* **Remote workers** are ``repro worker`` daemons that dialed the
+  service (``POST /v1/workers``, see :mod:`repro.serve.worker`).  A
+  dropped connection surfaces as EOF; a lease older than
+  ``lease_timeout_s`` (remote only) detaches the worker.
 
-* **Remote workers** are ``repro worker`` daemons on this or other
-  hosts that dialed the service over TCP (``POST /v1/workers`` with a
-  shared token, then one JSON frame per line in both directions — see
-  :mod:`repro.serve.worker`).  A worker whose connection drops
-  (process SIGKILLed, host rebooted) surfaces as EOF on its stream; a
-  worker whose *host vanished without closing TCP* (network partition,
-  power loss) is caught by the heartbeat loop — the broker pings every
-  ``heartbeat_s`` and detaches a worker silent for three intervals —
-  or by the hard ``lease_timeout_s`` cap on any single lease.
-
-Either way the orphaned lease is reported to ``on_result`` as
-``("died", reason)``, which releases the key back to the queue exactly
-like a SIGKILLed local shard: one charged retry, never a stranded spec.
+The broker pings every member each ``heartbeat_s`` and detaches one
+silent for three intervals (a vanished host, a wedged shard).  An
+orphaned lease is reported to ``on_result`` as ``("died", reason)``,
+which re-queues the key: one charged retry, never a stranded spec.
 
 With ``width=0`` and no remote workers attached, the broker has one
 inline slot: it executes one lease at a time on a daemon thread, in
-this process — how a serial ``repro campaign`` runs, and the no-fleet
-fallback tests and cache-hit-dominated benches rely on.  The thread is
-not the loop's executor, which ``asyncio.run`` joins at shutdown: a
-Ctrl-C does not wait for the running spec.  The moment a remote worker
+this process — how a serial ``repro campaign`` runs.  The thread is not
+the loop's executor, which ``asyncio.run`` joins at shutdown: a Ctrl-C
+does not wait for the running spec.  The moment a remote worker
 attaches, inline execution stops and the fleet does the work.
 
-Shards and the inline slot call :func:`repro.campaign.runner._execute`
-with the broker's ``audit`` flag (remote workers never audit).  Members
-look it up at call time, so a test's patch
-(``tests/fault_executor.py``) reaches every one of them.
+Every lease frame carries the broker's ``audit`` flag, and the inline
+slot honours it too.  Members look :func:`repro.campaign.runner._execute`
+up at call time, so a test's patch (``tests/fault_executor.py``)
+reaches every one of them; shards forked after the patch inherit it.
 """
 
 from __future__ import annotations
@@ -48,18 +42,21 @@ import asyncio
 import itertools
 import json
 import multiprocessing
+import signal
+import socket
 import threading
 import time
 
 from ..campaign import runner
 from .protocol import frame
+from .worker import serve_frames
 
-__all__ = ["LeaseBroker", "RemoteWorker"]
+__all__ = ["LeaseBroker", "Member"]
 
 DEFAULT_SHARDS = 2
 DEFAULT_HEARTBEAT_S = 10.0
 DEFAULT_LEASE_TIMEOUT_S = 600.0
-# A worker silent for this many heartbeat intervals is presumed gone.
+# A member silent for this many heartbeat intervals is presumed gone.
 MISSED_HEARTBEATS = 3
 
 
@@ -70,73 +67,41 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _shard_main(conn, audit: bool) -> None:
-    """Worker loop: one spec in, one summary out, until ``stop``."""
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return  # parent went away
-        if message[0] == "stop":
-            return
-        spec = message[1]
-        try:
-            body, wall_s = runner._execute(spec, audit)
-            reply = ("ok", body, wall_s)
-        except BaseException as exc:  # noqa: BLE001 — report, don't die
-            reply = ("err", repr(exc))
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
+def _shard_main(sock: socket.socket, parent_end: socket.socket) -> None:
+    """A shard process: the frame loop on its end of the socketpair."""
+    # Forked from the broker's event loop: drop its signal wake-up fd
+    # (a SIGTERM would otherwise be delivered to the parent's loop)
+    # and leave Ctrl-C to the parent.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()  # or the parent's exit would never read as EOF
+    serve_frames(sock.makefile("rb"), sock.sendall)
 
 
-class _Shard:
-    """One worker process plus its parent-side pipe and current lease."""
+def _reap(proc) -> int | None:
+    """Kill ``proc`` if it still runs; returns its exit code.
 
-    __slots__ = ("index", "proc", "conn", "lease", "completed")
-
-    def __init__(self, index: int, ctx, audit: bool) -> None:
-        self.index = index
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_shard_main, args=(child, audit),
-            name=f"repro-serve-shard-{index}", daemon=True,
-        )
-        self.proc.start()
-        child.close()  # the parent keeps only its own end
-        self.lease: tuple | None = None  # (key, spec) while working
-        self.completed = 0
-
-    @property
-    def busy(self) -> bool:
-        return self.lease is not None
-
-    def assign(self, key: str, spec) -> None:
-        self.lease = (key, spec)
-        self.conn.send(("run", spec))
-
-    def close(self) -> None:
-        try:
-            self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.conn.close()
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=5)
+    SIGKILL, because a shard holds no state worth a clean exit and a
+    stopped or wedged one would sit on a SIGTERM.
+    """
+    if proc.is_alive():
+        proc.kill()
+    proc.join(timeout=5)
+    return proc.exitcode
 
 
-class RemoteWorker:
-    """Parent-side handle for one connected ``repro worker`` daemon."""
+class Member:
+    """Parent-side handle for one fleet member: a shard (``proc`` set)
+    or a remote ``repro worker`` daemon."""
 
-    __slots__ = ("name", "writer", "lease", "lease_started", "last_seen",
-                 "completed")
+    __slots__ = ("name", "writer", "proc", "lease", "lease_started",
+                 "last_seen", "completed")
 
-    def __init__(self, name: str, writer) -> None:
+    def __init__(self, name: str, writer, proc=None) -> None:
         self.name = name
         self.writer = writer
+        self.proc = proc
         self.lease: tuple | None = None  # (key, spec) while working
         self.lease_started: float | None = None
         self.last_seen = time.monotonic()
@@ -149,14 +114,15 @@ class RemoteWorker:
     def send(self, obj: dict) -> None:
         self.writer.write(frame(obj))
 
-    def assign(self, key: str, spec) -> None:
+    def assign(self, key: str, spec, audit: bool) -> None:
         self.lease = (key, spec)
         self.lease_started = time.monotonic()
-        self.send({"op": "lease", "key": key, "spec": spec.canonical()})
+        self.send({"op": "lease", "key": key, "spec": spec.canonical(),
+                   "audit": audit})
 
 
 class LeaseBroker:
-    """A mixed fleet of shards and remote workers on one asyncio loop.
+    """A fleet of shards and remote workers on one asyncio loop.
 
     ``on_result(key, spec, outcome)`` is called on the loop for every
     finished lease, where ``outcome`` is one of::
@@ -166,7 +132,7 @@ class LeaseBroker:
         ("died", "<member death description>")
 
     ``on_fleet_change()`` (optional) is called whenever capacity
-    changes — a worker attaches, detaches, or frees a slot — so the
+    changes — a member attaches, detaches, or frees a slot — so the
     scheduler can wake without polling.
     """
 
@@ -181,9 +147,9 @@ class LeaseBroker:
         self.on_fleet_change = on_fleet_change
         self.audit = audit
         self._ctx = _mp_context()
-        self._shards: dict[int, _Shard] = {}
-        self._workers: dict[str, RemoteWorker] = {}
-        self._indices = iter(range(10 ** 9))
+        self._members: dict[str, Member] = {}
+        self._shard_tasks: set = set()  # one per shard, attach to exit
+        self._indices = itertools.count()
         self._worker_ids = itertools.count(1)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -202,29 +168,46 @@ class LeaseBroker:
                 self._heartbeat_loop()
             )
 
-    def _spawn(self) -> _Shard:
-        shard = _Shard(next(self._indices), self._ctx, self.audit)
-        self._shards[shard.index] = shard
-        self._loop.add_reader(
-            shard.conn.fileno(), self._on_readable, shard
+    def _spawn(self) -> None:
+        """Fork a shard and attach its end of a fresh socketpair."""
+        index = next(self._indices)
+        parent_end, child_end = socket.socketpair()
+        proc = self._ctx.Process(
+            target=_shard_main, args=(child_end, parent_end),
+            name=f"repro-serve-shard-{index}", daemon=True,
         )
-        return shard
+        proc.start()
+        child_end.close()  # the parent keeps only its own end
+        task = self._loop.create_task(
+            self._attach_shard(f"shard-{index}", parent_end, proc)
+        )
+        self._shard_tasks.add(task)
+        task.add_done_callback(self._shard_tasks.discard)
+
+    async def _attach_shard(self, name: str, sock, proc) -> None:
+        try:
+            reader, writer = await asyncio.open_connection(sock=sock)
+        except BaseException:  # close() cancelled it before it attached
+            sock.close()
+            _reap(proc)
+            raise
+        await self.serve_worker(name, reader, writer, proc)
 
     def close(self) -> None:
+        """Send every member ``stop``, then kill the shards: a shard's
+        running lease is abandoned, not waited for."""
         self._closing = True
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
-        for worker in list(self._workers.values()):
-            self._detach(worker, "service shutting down", notify=False,
-                         stop=True)
-        for shard in list(self._shards.values()):
+        for task in list(self._shard_tasks):
+            task.cancel()
+        for member in list(self._members.values()):
             try:
-                self._loop.remove_reader(shard.conn.fileno())
-            except (ValueError, OSError):
+                member.send({"op": "stop"})
+            except (ConnectionError, OSError, RuntimeError):
                 pass
-            shard.close()
-        self._shards.clear()
+            self._detach(member, "service shutting down", notify=False)
 
     def _fleet_changed(self) -> None:
         if self.on_fleet_change is not None:
@@ -233,41 +216,29 @@ class LeaseBroker:
     # -- dispatch -------------------------------------------------------
     @property
     def workers_connected(self) -> int:
-        return len(self._workers)
+        return sum(1 for m in self._members.values() if m.proc is None)
 
     @property
     def free_slots(self) -> int:
-        if self.width == 0 and not self._workers:
+        if self.width == 0 and not self._members:
             return 1 if self._inline is None else 0  # no fleet: inline slot
-        free = sum(1 for s in self._shards.values() if not s.busy)
-        free += sum(1 for w in self._workers.values() if not w.busy)
-        return free
+        return sum(1 for m in self._members.values() if not m.busy)
 
     @property
     def busy_leases(self) -> list:
-        out = [s.lease for s in self._shards.values() if s.busy]
-        out += [w.lease for w in self._workers.values() if w.busy]
-        return out
+        return [m.lease for m in self._members.values() if m.busy]
 
     def dispatch(self, key: str, spec) -> bool:
         """Lease ``spec`` to a free member; False when all are busy."""
-        for shard in self._shards.values():
-            if not shard.busy:
+        for member in list(self._members.values()):
+            if not member.busy:
                 try:
-                    shard.assign(key, spec)
-                except (BrokenPipeError, OSError):
-                    self._reap(shard, notify=False)
-                    continue
-                return True
-        for worker in list(self._workers.values()):
-            if not worker.busy:
-                try:
-                    worker.assign(key, spec)
+                    member.assign(key, spec, self.audit)
                 except (ConnectionError, OSError, RuntimeError):
-                    self._detach(worker, "send failed", notify=False)
+                    self._detach(member, "send failed", notify=False)
                     continue
                 return True
-        if self.width == 0 and not self._workers and self._inline is None:
+        if self.width == 0 and not self._members and self._inline is None:
             self._inline = self._loop.create_task(self._run_inline(key, spec))
             return True
         return False
@@ -299,65 +270,28 @@ class LeaseBroker:
         except RuntimeError:
             pass  # the loop closed: nobody is waiting for this lease
 
-    # -- shard completion and death ------------------------------------
-    def _on_readable(self, shard: _Shard) -> None:
-        try:
-            reply = shard.conn.recv()
-        except (EOFError, OSError):
-            self._reap(shard, notify=True)
-            return
-        lease, shard.lease = shard.lease, None
-        if lease is None:
-            return  # stray message (e.g. reply raced a close)
-        shard.completed += 1
-        key, spec = lease
-        self.on_result(key, spec, tuple(reply))
+    # -- members --------------------------------------------------------
+    async def serve_worker(self, name: str, reader, writer,
+                           proc=None) -> str:
+        """Register a member and pump its frames until it leaves.
 
-    def _reap(self, shard: _Shard, notify: bool) -> None:
-        """A shard died: release its lease and spawn a replacement."""
-        try:
-            self._loop.remove_reader(shard.conn.fileno())
-        except (ValueError, OSError):
-            pass
-        try:
-            shard.conn.close()
-        except OSError:
-            pass
-        self._shards.pop(shard.index, None)
-        lease, shard.lease = shard.lease, None
-        exitcode = shard.proc.exitcode
-        if shard.proc.is_alive():
-            shard.proc.terminate()
-        shard.proc.join(timeout=5)
-        if not self._closing:
-            self.respawns += 1
-            self._spawn()
-        if notify and lease is not None:
-            key, spec = lease
-            self.on_result(
-                key, spec,
-                ("died", f"shard {shard.index} died (exit {exitcode})"),
-            )
-
-    # -- remote workers -------------------------------------------------
-    async def serve_worker(self, name: str, reader, writer) -> str:
-        """Register a remote worker and pump its frames until it leaves.
-
-        Called by the HTTP layer after the token handshake; returns a
-        human-readable reason once the worker is gone.  The worker's
-        lease (if any) is released via ``on_result`` with ``died``.
+        The HTTP layer calls this after a remote worker's token
+        handshake, and :meth:`_spawn` for every shard (with its
+        ``proc``).  Returns a human-readable reason once the member is
+        gone; its lease (if any) is released via ``on_result`` with
+        ``died``.
         """
         base = name or "worker"
-        wname = base
-        while wname in self._workers:
-            wname = f"{base}~{next(self._worker_ids)}"
-        worker = RemoteWorker(wname, writer)
-        self._workers[wname] = worker
+        mname = base
+        while mname in self._members:
+            mname = f"{base}~{next(self._worker_ids)}"
+        member = Member(mname, writer, proc)
+        self._members[mname] = member
         self._fleet_changed()
         reason = "disconnected"
         try:
-            worker.send({
-                "op": "welcome", "name": wname,
+            member.send({
+                "op": "welcome", "name": mname,
                 "heartbeat_s": self.heartbeat_s,
             })
             await writer.drain()
@@ -370,21 +304,20 @@ class LeaseBroker:
                 except ValueError:
                     reason = "protocol error (undecodable frame)"
                     break
-                worker.last_seen = time.monotonic()
-                op = message.get("op")
-                if op == "result":
-                    self._finish_lease(worker, message)
+                member.last_seen = time.monotonic()
+                if message.get("op") == "result":
+                    self._finish_lease(member, message)
                 # "pong" just refreshes last_seen; unknown ops are
                 # ignored for forward compatibility.
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._detach(worker, reason)
+            self._detach(member, reason)
         return reason
 
-    def _finish_lease(self, worker: RemoteWorker, message: dict) -> None:
-        lease, worker.lease = worker.lease, None
-        worker.lease_started = None
+    def _finish_lease(self, member: Member, message: dict) -> None:
+        lease, member.lease = member.lease, None
+        member.lease_started = None
         if lease is None:
             return  # stray result (raced a timeout release)
         key, spec = lease
@@ -392,91 +325,89 @@ class LeaseBroker:
         body = message.get("body")
         if answered not in (None, key):
             outcome = ("err",
-                       f"worker {worker.name} answered for key "
+                       f"worker {member.name} answered for key "
                        f"{answered!r}, expected {key!r}")
         elif message.get("status") == "ok" and isinstance(body, dict):
-            worker.completed += 1
+            member.completed += 1
             outcome = ("ok", body, float(message.get("wall_s") or 0.0))
         else:
             outcome = ("err", str(message.get("error", "worker error")))
         self.on_result(key, spec, outcome)
         self._fleet_changed()  # a slot freed
 
-    def _detach(self, worker: RemoteWorker, reason: str,
-                notify: bool = True, stop: bool = False) -> None:
-        if self._workers.get(worker.name) is not worker:
+    def _detach(self, member: Member, reason: str,
+                notify: bool = True) -> None:
+        """Drop a member; a shard is reaped and, unless closing, respawned."""
+        if self._members.get(member.name) is not member:
             return  # already detached (e.g. heartbeat raced EOF)
-        del self._workers[worker.name]
-        if stop:
-            try:
-                worker.send({"op": "stop"})
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+        del self._members[member.name]
         try:
-            worker.writer.close()
+            member.writer.close()
         except (ConnectionError, OSError, RuntimeError):
             pass
-        lease, worker.lease = worker.lease, None
+        lease, member.lease = member.lease, None
+        if member.proc is not None:
+            death = f"{member.name} died (exit {_reap(member.proc)})"
+            if not self._closing:
+                self.respawns += 1
+                self._spawn()
+        else:
+            death = f"worker {member.name} {reason}"
+            if lease is not None and notify:
+                self.worker_deaths += 1
         if lease is not None and notify:
-            self.worker_deaths += 1
             key, spec = lease
-            self.on_result(
-                key, spec, ("died", f"worker {worker.name} {reason}"),
-            )
+            self.on_result(key, spec, ("died", death))
         self._fleet_changed()
 
     async def _heartbeat_loop(self) -> None:
-        """Ping the remote fleet; cull the silent and the wedged."""
+        """Ping the fleet; cull the silent and the wedged."""
         while True:
             await asyncio.sleep(self.heartbeat_s)
             now = time.monotonic()
-            for worker in list(self._workers.values()):
-                silent = now - worker.last_seen
+            for member in list(self._members.values()):
+                silent = now - member.last_seen
                 if silent > MISSED_HEARTBEATS * self.heartbeat_s:
                     self._detach(
-                        worker,
+                        member,
                         f"missed heartbeats ({silent:.1f}s silent)",
                     )
                     continue
-                if (worker.busy and self.lease_timeout_s > 0
-                        and now - worker.lease_started
+                if (member.proc is None and member.busy
+                        and self.lease_timeout_s > 0
+                        and now - member.lease_started
                         > self.lease_timeout_s):
                     self._detach(
-                        worker,
+                        member,
                         f"lease timed out after "
                         f"{self.lease_timeout_s:.0f}s",
                     )
                     continue
                 try:
-                    worker.send({"op": "ping"})
+                    member.send({"op": "ping"})
                 except (ConnectionError, OSError, RuntimeError):
-                    self._detach(worker, "ping failed")
+                    self._detach(member, "ping failed")
 
     # -- observability --------------------------------------------------
     def fleet(self) -> list:
         """Per-member state for ``/v1/metrics`` and ``/v1/workers``."""
         now = time.monotonic()
         out = []
-        for shard in self._shards.values():
-            out.append({
-                "name": f"shard-{shard.index}",
-                "kind": "local",
-                "pid": shard.proc.pid,
-                "busy": shard.busy,
-                "key": shard.lease[0] if shard.lease else None,
-                "completed": shard.completed,
-            })
-        for worker in self._workers.values():
-            out.append({
-                "name": worker.name,
-                "kind": "remote",
-                "busy": worker.busy,
-                "key": worker.lease[0] if worker.lease else None,
-                "lease_age_s": (
-                    round(now - worker.lease_started, 3)
-                    if worker.lease_started is not None else None
-                ),
-                "idle_s": round(now - worker.last_seen, 3),
-                "completed": worker.completed,
-            })
+        for member in self._members.values():
+            entry = {
+                "name": member.name,
+                "kind": "remote" if member.proc is None else "local",
+                "busy": member.busy,
+                "key": member.lease[0] if member.lease else None,
+                "completed": member.completed,
+            }
+            if member.proc is not None:
+                entry["pid"] = member.proc.pid
+            else:
+                entry["lease_age_s"] = (
+                    round(now - member.lease_started, 3)
+                    if member.lease_started is not None else None
+                )
+                entry["idle_s"] = round(now - member.last_seen, 3)
+            out.append(entry)
         return out

@@ -149,7 +149,7 @@ def _cg(rng, core, n):
         write_fraction=0.06, start_offset=_chunk(core, span),
     )
     gather = random_access(rng, int(n * 0.45), _array_base(2), 24 * MB)
-    return interleave(rng, [seq, gather])
+    return interleave([seq, gather])
 
 
 def _mg(rng, core, n):
@@ -169,7 +169,7 @@ def _mg(rng, core, n):
                 write_fraction=0.55 if level % 2 else 0.05,
             )
         )
-    return interleave(rng, levels, chunk=16)
+    return interleave(levels, chunk=16)
 
 
 def _scalparc(rng, core, n):
@@ -181,7 +181,7 @@ def _scalparc(rng, core, n):
     )
     tree = random_access(rng, n - (2 * n) // 3, _array_base(9), 32 * MB,
                          write_fraction=0.3)
-    return interleave(rng, [scan, tree], chunk=8)
+    return interleave([scan, tree], chunk=8)
 
 
 def _histogram(rng, core, n):
@@ -193,7 +193,7 @@ def _histogram(rng, core, n):
     )
     counters = random_access(rng, n - (5 * n) // 6, _array_base(11),
                              MB // 2, write_fraction=0.5)
-    return interleave(rng, [image, counters], chunk=10)
+    return interleave([image, counters], chunk=10)
 
 
 def _mm(rng, core, n):
@@ -228,7 +228,7 @@ def _art(rng, core, n):
                 start_offset=_chunk(core, span),
             )
         )
-    return interleave(rng, sweeps, chunk=12)
+    return interleave(sweeps, chunk=12)
 
 
 def _swim(rng, core, n):
@@ -245,7 +245,7 @@ def _swim(rng, core, n):
                 start_offset=_chunk(core, span),
             )
         )
-    return interleave(rng, grids, chunk=4)
+    return interleave(grids, chunk=4)
 
 
 def _fft(rng, core, n):
@@ -262,7 +262,7 @@ def _fft(rng, core, n):
                 span, stride_bytes=stride, write_fraction=0.45,
             )
         )
-    return interleave(rng, passes, chunk=8)
+    return interleave(passes, chunk=8)
 
 
 def _ocean(rng, core, n):
@@ -279,7 +279,7 @@ def _ocean(rng, core, n):
                 start_offset=_chunk(core, span),
             )
         )
-    return interleave(rng, grids, chunk=3)
+    return interleave(grids, chunk=3)
 
 
 # ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ def gather_stream(
     )
     g_count = count - seq_count
     g_addr, g_wr = random_access(rng, g_count, gather_base, gather_span)
-    return interleave(rng, [(seq_addr, seq_wr), (g_addr, g_wr)])
+    return interleave([(seq_addr, seq_wr), (g_addr, g_wr)])
 
 
 def tile_reuse(
@@ -272,28 +272,22 @@ def arrival_gaps(
 
 
 def interleave(
-    rng: np.random.Generator,
     streams: list[tuple[np.ndarray, np.ndarray]],
     chunk: int = 4,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge several (addresses, is_write) streams in chunked round-robin."""
+    """Merge several (addresses, is_write) streams in chunked round-robin.
+
+    Round ``r`` takes elements ``[r*chunk, (r+1)*chunk)`` of every stream
+    still running, in stream order: one stable sort by (round, stream).
+    """
     streams = [s for s in streams if len(s[0])]
     if not streams:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    addr_parts: list[np.ndarray] = []
-    wr_parts: list[np.ndarray] = []
-    positions = [0] * len(streams)
-    live = list(range(len(streams)))
-    while live:
-        nxt = []
-        for s in live:
-            a, w = streams[s]
-            start = positions[s]
-            stop = min(start + chunk, len(a))
-            addr_parts.append(a[start:stop])
-            wr_parts.append(w[start:stop])
-            positions[s] = stop
-            if stop < len(a):
-                nxt.append(s)
-        live = nxt
-    return np.concatenate(addr_parts), np.concatenate(wr_parts)
+    lengths = [len(a) for a, _ in streams]
+    stream_id = np.repeat(np.arange(len(streams)), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rounds = (np.arange(len(stream_id)) - starts) // chunk
+    order = np.lexsort((stream_id, rounds))
+    addrs = np.concatenate([a for a, _ in streams])
+    writes = np.concatenate([w for _, w in streams])
+    return addrs[order], writes[order]

@@ -1,10 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
 
 class TestList:
@@ -152,3 +160,49 @@ class TestInterrupt:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip() == "repro campaign: interrupted"
+
+
+def _children(pid: int) -> list:
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        return []
+
+
+class TestParallelInterrupt:
+    """Ctrl-C on a parallel campaign, as a terminal delivers it: SIGINT
+    to the whole process group, shards included."""
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(),
+                        reason="needs /proc to see the shards fork")
+    @pytest.mark.parametrize("after_s", [0.0, 1.5])
+    def test_sigint_to_the_group_exits_130(self, tmp_path, after_s):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "fig02",
+             "--scale", "4000", "--no-report", "-j2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC),
+                     REPRO_CACHE_DIR=str(tmp_path / "runs")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(_children(proc.pid)) < 2:  # both shards forked
+                assert proc.poll() is None, "campaign ended before Ctrl-C"
+                assert time.monotonic() < deadline, "shards never forked"
+                time.sleep(0.01)
+            time.sleep(after_s)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130, err
+            assert "Traceback" not in err
+            assert err.count("interrupted") == 1
+            assert err.rstrip().endswith("repro campaign: interrupted")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)  # no shard left in the group
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()

@@ -1,6 +1,6 @@
 """Remote TCP workers end to end: equivalence, auth, death, heartbeat.
 
-A real ``WorkerDaemon`` (background thread, own event loop) dials the
+A real ``WorkerDaemon`` (on a background thread) dials the
 background-thread service over the same wire ``repro worker`` uses; a
 scripted *fake* worker over a raw socket plays the misbehaving cases a
 well-written daemon never exhibits (vanishing mid-lease, ignoring
@@ -9,7 +9,6 @@ pings).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import threading
@@ -41,7 +40,7 @@ def make_config(tmp_path, **kw) -> ServiceConfig:
 
 
 class WorkerThread:
-    """A WorkerDaemon on its own thread + event loop, like the CLI verb."""
+    """A WorkerDaemon's blocking ``run()`` on a background thread."""
 
     def __init__(self, address: str, **kw) -> None:
         kw.setdefault("reconnect_delay_s", 0.05)
@@ -51,7 +50,7 @@ class WorkerThread:
 
     def _main(self) -> None:
         try:
-            asyncio.run(self.daemon.run())
+            self.daemon.run()
         except BaseException as exc:  # noqa: BLE001 — surfaced in the test
             self.error = exc
 
@@ -108,13 +107,20 @@ class FakeWorker:
         self.sock.sendall((json.dumps(obj) + "\n").encode())
 
     def vanish(self) -> None:
-        """Die without ceremony — no result, no close handshake."""
+        """Die without ceremony — no result, no close handshake.
+
+        The reader file holds its own reference to the socket, so both
+        must close for the connection to end (EOF at the broker).
+        """
+        self.file.close()
         self.sock.close()
 
 
 @pytest.fixture
 def tcp_handle(tmp_path):
-    handle = start_in_thread(make_config(tmp_path), host="127.0.0.1")
+    # Heartbeats too slow to matter: only EOF can release a lease here.
+    handle = start_in_thread(make_config(tmp_path, heartbeat_s=600),
+                             host="127.0.0.1")
     try:
         yield handle
     finally:
@@ -181,7 +187,7 @@ class TestWorkerAuth:
             daemon = WorkerDaemon(handle.address, token="wrong",
                                   max_connects=1)
             with pytest.raises(WorkerAuthError):
-                asyncio.run(daemon.run())
+                daemon.run()
             client = ServeClient(handle.address)
             assert client.health()["workers"] == 0
         finally:
@@ -281,3 +287,24 @@ class TestHeartbeat:
             handle.stop()
             worker.join()
         assert worker.error is None
+
+
+class TestWorkerStop:
+    def test_idle_worker_stops_promptly(self, tmp_path):
+        """``request_stop()`` ends an attached, idle daemon at once: it
+        does not wait for the next frame (a ping every 10 s here)."""
+        handle = start_in_thread(make_config(tmp_path), host="127.0.0.1")
+        worker = WorkerThread(handle.address).start()
+        try:
+            client = ServeClient(handle.address)
+            wait_for(lambda: client.health()["workers"] == 1,
+                     what="worker attach")
+            started = time.monotonic()
+            worker.join(timeout=5)
+            elapsed = time.monotonic() - started
+            assert not worker._thread.is_alive()
+            assert elapsed < 1.0, f"idle worker took {elapsed:.2f}s"
+        finally:
+            handle.stop()
+        assert worker.error is None
+        assert worker.daemon.connects == 1

@@ -1,7 +1,8 @@
 """The package boundaries hold: nothing outside repro.coding may bring
-back the retired BURST_FORMATS/_SCHEMES views, and src/repro names no
-environment variable beyond the allowed five (see
-tools/lint_boundaries.py, which CI runs as a standalone step)."""
+back the retired BURST_FORMATS/_SCHEMES views, src/repro names no
+environment variable beyond the allowed five, and only the frame loop
+and the inline slot run specs (see tools/lint_boundaries.py, which CI
+runs as a standalone step)."""
 
 import importlib.util
 import sys
@@ -166,3 +167,60 @@ class TestEnvironmentSwitches:
         problems = lint.check_tree(tmp_path)
         assert len(problems) == 1
         assert "REPRO_CODEC_IMPL" in problems[0]
+
+
+class TestExecuteSites:
+    """Only the frame loop's lease handler and the broker's inline slot
+    may run a spec (``runner._execute``)."""
+
+    # The pipe-era shard loop: a second execution path beside the frame
+    # loop, which the lint must reject.
+    PIPE_SHARD = (
+        "from ..campaign import runner\n"
+        "def _shard_main(conn, audit):\n"
+        "    while True:\n"
+        "        message = conn.recv()\n"
+        "        body, wall_s = runner._execute(message[1], audit)\n"
+        "        conn.send(('ok', body, wall_s))\n"
+    )
+
+    def test_catches_a_second_lease_loop(self):
+        lint = _load_linter()
+        problems = lint.check_execute_uses(
+            self.PIPE_SHARD, "fake.py", "serve/shards.py"
+        )
+        assert len(problems) == 1
+        assert "_shard_main" in problems[0]
+
+    def test_catches_callbacks_and_imports(self):
+        lint = _load_linter()
+        bad = (
+            "from ..campaign.runner import _execute\n"
+            "class WorkerDaemon:\n"
+            "    async def _run_lease(self, spec):\n"
+            "        return await self._loop.run_in_executor(\n"
+            "            None, runner._execute, spec)\n"
+        )
+        problems = lint.check_execute_uses(bad, "fake.py", "serve/worker.py")
+        assert len(problems) == 2
+        assert "module scope" in problems[0]
+        assert "WorkerDaemon._run_lease" in problems[1]
+
+    def test_sites_are_module_and_function(self):
+        lint = _load_linter()
+        good = (
+            "def _run_lease(message):\n"
+            "    return runner._execute(spec_of(message), True)\n"
+        )
+        assert lint.check_execute_uses(good, "w.py", "serve/worker.py") == []
+        assert len(lint.check_execute_uses(good, "w.py", "serve/x.py")) == 1
+
+    def test_tree_uses_exactly_the_allowed_sites(self, monkeypatch):
+        lint = _load_linter()
+        monkeypatch.setattr(lint, "EXECUTE_SITES", frozenset())
+        problems = lint.check_tree()
+        assert len(problems) == 2
+        assert any("serve/worker.py" in p and " _run_lease;" in p
+                   for p in problems)
+        assert any("serve/shards.py" in p and "LeaseBroker._inline_lease"
+                   in p for p in problems)

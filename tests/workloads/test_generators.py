@@ -105,7 +105,7 @@ class TestInterleave:
     def test_preserves_all_accesses(self):
         a = (np.arange(10, dtype=np.int64), np.zeros(10, dtype=bool))
         b = (np.arange(100, 105, dtype=np.int64), np.ones(5, dtype=bool))
-        addr, wr = interleave(rng(), [a, b], chunk=3)
+        addr, wr = interleave([a, b], chunk=3)
         assert len(addr) == 15
         assert sorted(addr.tolist()) == sorted(
             a[0].tolist() + b[0].tolist()
@@ -115,12 +115,56 @@ class TestInterleave:
     def test_round_robin_order(self):
         a = (np.array([1, 2, 3, 4], dtype=np.int64), np.zeros(4, dtype=bool))
         b = (np.array([10, 20], dtype=np.int64), np.zeros(2, dtype=bool))
-        addr, _ = interleave(rng(), [a, b], chunk=2)
+        addr, _ = interleave([a, b], chunk=2)
         assert addr.tolist() == [1, 2, 10, 20, 3, 4]
 
     def test_empty_streams(self):
-        addr, wr = interleave(rng(), [])
+        addr, wr = interleave([])
         assert len(addr) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 40), max_size=6),
+        chunk=st.integers(1, 17),
+        wide=st.booleans(),
+    )
+    def test_matches_reference_loop(self, lengths, chunk, wide):
+        """The closed form equals the chunk-by-chunk round-robin loop it
+        replaced: same elements, order and dtypes."""
+        gen = np.random.default_rng(sum(lengths) * 31 + chunk)
+        dtype = np.int64 if wide else np.int32
+        streams = [
+            (gen.integers(0, 1 << 30, n).astype(dtype), gen.random(n) < 0.3)
+            for n in lengths
+        ]
+        addr, wr = interleave(streams, chunk=chunk)
+        want_addr, want_wr = _reference_interleave(streams, chunk)
+        assert addr.dtype == want_addr.dtype and wr.dtype == want_wr.dtype
+        assert addr.tolist() == want_addr.tolist()
+        assert wr.tolist() == want_wr.tolist()
+
+
+def _reference_interleave(streams, chunk):
+    """The round-robin merge loop ``interleave`` computes in closed form."""
+    streams = [s for s in streams if len(s[0])]
+    if not streams:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    addr_parts, wr_parts = [], []
+    positions = [0] * len(streams)
+    live = list(range(len(streams)))
+    while live:
+        nxt = []
+        for s in live:
+            a, w = streams[s]
+            start = positions[s]
+            stop = min(start + chunk, len(a))
+            addr_parts.append(a[start:stop])
+            wr_parts.append(w[start:stop])
+            positions[s] = stop
+            if stop < len(a):
+                nxt.append(s)
+        live = nxt
+    return np.concatenate(addr_parts), np.concatenate(wr_parts)
 
 
 class TestArrivalGaps:

@@ -38,11 +38,16 @@ DESIGN.md, "Event core"):
   ``repro.controller`` — outside it, only the public ``step`` /
   ``next_event`` / ``sync`` surface exists.
 
-And one for the whole package, ``repro.coding`` included: a string
-constant that is exactly ``REPRO_[A-Z0-9_]+`` must name one of the
-environment variables in :data:`ALLOWED_ENV`.  Any other is a
-process-wide switch; a run's observers (``--audit``, ``--telemetry``)
-travel as explicit arguments instead.
+And two for the whole package, ``repro.coding`` included:
+
+* a string constant that is exactly ``REPRO_[A-Z0-9_]+`` must name one
+  of the environment variables in :data:`ALLOWED_ENV`.  Any other is a
+  process-wide switch; a run's observers (``--audit``, ``--telemetry``)
+  travel as explicit arguments instead;
+* ``runner._execute`` (one fresh run) is used only by the lease paths
+  in :data:`EXECUTE_SITES`: the frame loop's lease handler, which every
+  shard and ``repro worker`` runs, and the broker's inline slot.  A
+  second execution path would be a second lease protocol.
 
 Run from the repository root (CI does)::
 
@@ -94,6 +99,12 @@ ALLOWED_ENV = frozenset({
     "REPRO_SERVE_TOKEN",
 })
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+# (module path under src/repro, qualified function) pairs that may use
+# repro.campaign.runner._execute.
+EXECUTE_SITES = frozenset({
+    ("serve/worker.py", "_run_lease"),
+    ("serve/shards.py", "LeaseBroker._inline_lease"),
+})
 
 
 def _is_system_events_module(module: str) -> bool:
@@ -210,12 +221,53 @@ def check_env_names(source: str, filename: str) -> list[str]:
     ]
 
 
+def check_execute_uses(source: str, filename: str,
+                       module: str = "") -> list[str]:
+    """Flag ``runner._execute`` used outside :data:`EXECUTE_SITES`.
+
+    ``module`` is the file's path under ``src/repro`` (``serve/x.py``).
+    Any reference counts, not only a call (a callback runs it too), and
+    so does importing the name.
+    """
+    problems = []
+
+    def visit(node, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            uses = (
+                isinstance(child, ast.Attribute)
+                and child.attr == "_execute"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "runner"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and any(a.name == "_execute" for a in child.names)
+            )
+            where = ".".join(scope)
+            if uses and (module, where) not in EXECUTE_SITES:
+                problems.append(
+                    f"{filename}:{child.lineno}: uses runner._execute in "
+                    f"{where or 'module scope'}; only the frame loop's "
+                    "lease handler and the inline slot execute runs"
+                )
+            visit(child, scope)
+
+    visit(ast.parse(source, filename=filename), ())
+    return problems
+
+
 def check_tree(root: Path = SRC_ROOT) -> list[str]:
     problems = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
         source = path.read_text(encoding="utf-8")
         problems.extend(check_env_names(source, str(path)))
+        problems.extend(
+            check_execute_uses(source, str(path), rel.as_posix())
+        )
         if rel.parts and rel.parts[0] == EXEMPT:
             continue
         package = rel.parts[0] if len(rel.parts) > 1 else ""
